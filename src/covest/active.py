@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import update_design
-from .estimator import CovarianceEstimate, estimate_cov, merge_estimates, relative_frobenius_error
+# estimate_cov, merge_estimates and relative_frobenius_error are what the loop
+# reproduces in place; they stay importable from this module, where
+# perfbench/spans.py instruments them
+from .estimator import (  # noqa: F401
+    CovarianceEstimate,
+    _inverse_mask_moment,
+    estimate_cov,
+    merge_estimates,
+    relative_frobenius_error,
+)
 from .sampling import MaskDistribution, child_rng, mask_batch
 
 __all__ = ["ActiveConfig", "IterationRecord", "ActiveTrace", "run_active", "run_fixed"]
@@ -42,7 +51,12 @@ class ActiveConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """What one iteration saw and produced."""
+    """What one iteration saw and produced.
+
+    batch_estimate and merged are copies of the batch's estimate and of the
+    running estimate after the merge, kept only when the loop runs with
+    record_matrices=True; otherwise both are None.
+    """
 
     iteration: int
     design: np.ndarray
@@ -83,43 +97,79 @@ def _check_budget(n: int, budget: float, eps: float) -> None:
 
 
 def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: bool,
-                 record_matrices: bool = True) -> ActiveTrace:
+                 record_matrices: bool) -> ActiveTrace:
+    """The batch loop, with one running mean updated in place.
+
+    Each step performs the floating-point operations of estimate_cov followed
+    by merge_estimates and relative_frobenius_error, in the same order, so the
+    trace is bitwise equal to composing those functions; it only skips their
+    fresh n x n arrays and per-call validation.
+    """
+    n = p0.n
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (n, n):
+            raise ValueError("estimate and reference must share a shape")
+        truth_norm = float(np.linalg.norm(truth))
+        if truth_norm == 0.0:
+            raise ValueError("reference matrix must be nonzero")
     p = p0
-    estimate = CovarianceEstimate.zero(p0.n)
+    weights = _inverse_mask_moment(p.p)
+    mean = np.zeros((n, n))
+    work = np.empty((n, n))  # the batch's estimate, then the error of the mean
+    samples = 0
     trace = ActiveTrace()
     for t in range(cfg.iterations):
         rng = child_rng(cfg.seed, t)
         batch = mask_batch(oracle.draw(cfg.batch_size), p, rng)
-        batch_estimate = estimate_cov(batch, p)
-        estimate = merge_estimates(estimate, batch_estimate)
-        rel = relative_frobenius_error(estimate, truth) if truth is not None else None
+        count = len(batch)
+        # estimate_cov: (obs^T obs / count) * weights; obs^T obs is exactly symmetric
+        np.matmul(batch.observed.T, batch.observed, out=work)
+        work /= count
+        work *= weights
+        batch_estimate = CovarianceEstimate(work.copy(), count) if record_matrices else None
+        # merge_estimates: batch / (t + 1) + mean * (t / (t + 1))
+        mean *= t / (t + 1)
+        work /= t + 1
+        mean += work
+        samples += count
+        merged = CovarianceEstimate(mean.copy(), samples, t + 1) if record_matrices else None
+        rel = None
+        if truth is not None:
+            # relative_frobenius_error
+            np.subtract(mean, truth, out=work)
+            rel = float(np.linalg.norm(work) / truth_norm)
         trace.records.append(
             IterationRecord(
                 iteration=t,
                 design=p.p,
-                batch_estimate=batch_estimate if record_matrices else None,
-                merged=estimate if record_matrices else None,
+                batch_estimate=batch_estimate,
+                merged=merged,
                 rel_error=rel,
                 observed_count=batch.observed_count,
-                sample_count=estimate.sample_count,
+                sample_count=samples,
             )
         )
         if adapt:
-            p = update_design(estimate, cfg.budget, cfg.eps).p
+            p_next = update_design(mean, cfg.budget, cfg.eps).p
+            if not np.array_equal(p_next.p, p.p):
+                _inverse_mask_moment(p_next.p, out=weights)
+            p = p_next
     trace.final_design = p.p
-    trace.final_estimate = estimate
+    trace.final_estimate = CovarianceEstimate(mean, samples, cfg.iterations)
     return trace
 
 
 def run_active(oracle, cfg: ActiveConfig, truth: np.ndarray | None = None,
-               record_matrices: bool = True) -> ActiveTrace:
+               record_matrices: bool = False) -> ActiveTrace:
     """Run the adaptive loop against a sample stream.
 
     oracle supplies raw vectors via draw(count) and a dim attribute; masks are
     drawn here from per-iteration child streams of cfg.seed, so equal
     (oracle stream, cfg) reproduce the trace exactly. truth, when given, is
-    only scored against, never consumed by the loop. Set record_matrices=False
-    to keep the trace light (designs and errors only) at large dimension.
+    only scored against, never consumed by the loop. The records keep designs,
+    errors and counts; record_matrices=True also keeps each batch's estimate
+    and the running estimate per record, two n x n copies per batch.
     """
     n = oracle.dim
     _check_budget(n, cfg.budget, cfg.eps)
@@ -129,13 +179,14 @@ def run_active(oracle, cfg: ActiveConfig, truth: np.ndarray | None = None,
 
 def run_fixed(oracle, p: MaskDistribution, total: int, truth: np.ndarray | None = None,
               batch_size: int | None = None, seed: int = 0,
-              record_matrices: bool = True) -> ActiveTrace:
+              record_matrices: bool = False) -> ActiveTrace:
     """Estimate under a frozen design, checkpointed like the adaptive loop.
 
     total must split into equal batches of batch_size (default: one batch) so
     fixed and adaptive curves share their checkpoint grid. With the same seed
     and stream, this is bitwise identical to the adaptive loop whenever the
     adaptive design updates are no-ops (for example a full budget).
+    record_matrices works as in run_active.
     """
     if oracle.dim != p.n:
         raise ValueError("oracle dimension does not match the design")

@@ -164,13 +164,19 @@ def bound_report(
     sigma_ratio: float = 1.0,
 ) -> BoundReport:
     """Assemble the scale matrix, its norm, the effective rank, and the bound."""
+    return _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, effective_rank(cov))
+
+
+def _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, erank: float) -> BoundReport:
+    # bound_report with the effective rank of cov supplied by a caller that
+    # reports on one covariance under many designs
     scale = error_scale_matrix(cov, p, sigma_ratio)
     norm = entrywise_norm(scale, q)
     return BoundReport(
         scale_matrix=scale,
         scale_norm=norm,
         q=q,
-        erank=effective_rank(cov),
+        erank=erank,
         bound=error_bound(norm, p.n, samples, eta, gamma),
         eta=eta,
         gamma=gamma,

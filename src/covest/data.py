@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import check_square, psd_sqrt_factor, spectral_norm
+from .linalg import check_square, clamped_sqrt, psd_sqrt_factor, spectral_norm
 from .sampling import child_rng
 
 __all__ = [
@@ -41,15 +41,26 @@ class SyntheticModel:
         base_cov = check_square(base_cov, "base covariance")
         if theta < 0:
             raise ValueError("theta must be nonnegative")
+        if not np.all(np.isfinite(base_cov)):
+            raise ValueError("base covariance must be finite")
         if np.abs(base_cov - base_cov.T).max() > 1e-12 * max(1.0, float(np.abs(base_cov).max())):
             raise ValueError("base covariance must be symmetric")
         self.base_cov = base_cov
         self.theta = float(theta)
-        self.base_spectral_norm = spectral_norm(base_cov)
+        diagonal = np.diagonal(base_cov)
+        is_diagonal = np.count_nonzero(base_cov) == np.count_nonzero(diagonal)
+        # a diagonal matrix's eigenvalues are its diagonal entries, so eigh
+        # would return them exactly; skip it
+        if is_diagonal:
+            self.base_spectral_norm = float(np.max(np.abs(diagonal)))
+        else:
+            self.base_spectral_norm = spectral_norm(base_cov)
         if self.base_spectral_norm == 0.0:
             raise ValueError("base covariance must be nonzero")
         self.sigma = base_cov + self.theta * self.base_spectral_norm * np.eye(base_cov.shape[0])
-        self.factor = psd_sqrt_factor(self.sigma)
+        # the diagonal of the factor when the factor is diagonal, else None
+        self._root = clamped_sqrt(np.diagonal(self.sigma)) if is_diagonal else None
+        self.factor = np.diag(self._root) if is_diagonal else psd_sqrt_factor(self.sigma)
 
     @property
     def dim(self) -> int:
@@ -60,15 +71,24 @@ class SyntheticModel:
 
 
 class GaussianStream:
-    """Draws x = F g with standard normal g, so cov(x) is the model's sigma."""
+    """Draws x = F g with standard normal g, so cov(x) is the model's sigma.
+
+    When F is diagonal, the rows are g scaled entrywise by F's diagonal. That
+    equals g @ F.T bit for bit: each entry of the product has one nonzero term.
+    """
 
     def __init__(self, model: SyntheticModel, rng: np.random.Generator):
         self._factor = model.factor
+        self._root = model._root
         self._rng = rng
         self.dim = model.dim
 
     def draw(self, count: int) -> np.ndarray:
-        return self._rng.standard_normal((int(count), self.dim)) @ self._factor.T
+        g = self._rng.standard_normal((int(count), self.dim))
+        if self._root is not None:
+            g *= self._root
+            return g
+        return g @ self._factor.T
 
 
 def make_spiked_model(n: int, k: int, spike: float, theta: float = 0.0, seed: int = 0) -> SyntheticModel:

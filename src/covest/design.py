@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import entrywise_norm, error_scale_matrix
+from .estimator import CovarianceEstimate
 from .sampling import MaskDistribution
 
 __all__ = [
@@ -162,6 +163,8 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     flat the answer is exactly uniform by symmetry.
     """
     diag_sigma = np.asarray(diag_sigma, dtype=float)
+    if not np.all(np.isfinite(diag_sigma)):
+        raise ValueError("variance profile must be finite (no NaN or inf entries)")
     if np.any(diag_sigma < 0):
         raise ValueError("variance profile must be nonnegative")
     problem = DesignProblem(target=np.sqrt(diag_sigma), m=float(m), floor=float(eps))
@@ -212,13 +215,15 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
 
 
 def update_design(estimate, m: float, eps: float = 1e-3) -> DesignSolution:
-    """Redesign from an estimated covariance.
+    """Redesign from an estimated covariance (an estimate or its matrix).
 
     Negative diagonal entries (possible, since the unbiased estimate need not
     be PSD) are clamped to zero before the solve; clamped coordinates end up
     at the floor.
     """
-    diag = np.clip(np.diag(estimate.matrix), 0.0, None)
+    if isinstance(estimate, CovarianceEstimate):
+        estimate = estimate.matrix
+    diag = np.clip(np.diag(np.asarray(estimate, dtype=float)), 0.0, None)
     return design_probabilities(diag, m, eps)
 
 

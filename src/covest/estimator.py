@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MaskDistribution, MaskedBatch, MaskedSample, hadamard_inverse, mask_second_moment
+from .sampling import MaskDistribution, MaskedBatch, MaskedSample
 
 __all__ = [
     "CovarianceEstimate",
@@ -67,6 +67,25 @@ def _stack_observed(samples, n: int) -> np.ndarray:
     return np.stack([s.observed for s in rows])
 
 
+def _inverse_mask_moment(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Reweighting matrix: 1/(p_i p_j) off the diagonal and 1/p_i on it.
+
+    The same floating-point operations as
+    ``hadamard_inverse(mask_second_moment(p))``, written into ``out`` when it
+    is given. Entries of p are positive, so a product p_i p_j that underflows
+    to zero is the only way to a nonpositive entry; checking the two smallest
+    entries finds it in O(n).
+    """
+    if p.size > 1:
+        two_smallest = np.partition(p, 1)[:2]
+        if two_smallest[0] * two_smallest[1] <= 0.0:
+            raise ValueError("entrywise inverse requires strictly positive entries")
+    # einsum forms the same products as np.outer, about twice as fast
+    weights = np.einsum("i,j->ij", p, p, out=out)
+    np.fill_diagonal(weights, p)
+    return np.divide(1.0, weights, out=weights)
+
+
 def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     """Unbiased covariance estimate from masked samples.
 
@@ -82,7 +101,7 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     if count == 0:
         raise ValueError("cannot estimate from an empty sample collection")
     second = observed.T @ observed / count
-    matrix = second * hadamard_inverse(mask_second_moment(p))
+    matrix = second * _inverse_mask_moment(p.p)
     return CovarianceEstimate(matrix=matrix, sample_count=count, iterations=1)
 
 

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .active import ActiveConfig, run_active, run_fixed
-from .bounds import BoundReport, bound_report, effective_rank
+# bound_report stays importable from this module, where perfbench/spans.py
+# instruments it
+from .bounds import BoundReport, _bound_report, bound_report, effective_rank  # noqa: F401
 from .data import build_empirical_source, load_idx, make_spiked_model
 from .design import design_probabilities
 from .sampling import MaskDistribution, child_rng, derive_seed
@@ -232,10 +234,19 @@ def _run_trial(source, designed: dict, spec: ExperimentSpec, r: int) -> dict:
     return out
 
 
+# the parent's source and designed map, installed in each pool worker by
+# _init_worker: inherited under fork, pickled once per worker under spawn
+_worker_inputs: tuple = ()
+
+
+def _init_worker(source, designed: dict) -> None:
+    global _worker_inputs
+    _worker_inputs = (source, designed)
+
+
 def _run_chunk(args):
     spec, indices = args
-    source = _build_source(spec)
-    designed = _designed_map(spec, source)
+    source, designed = _worker_inputs
     return [(r, _run_trial(source, designed, spec, r)) for r in indices]
 
 
@@ -253,11 +264,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         jobs = min(jobs, spec.trials)
         splits = np.array_split(np.arange(spec.trials), jobs)
         chunk_args = [(spec, [int(r) for r in part]) for part in splits if len(part)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(source, designed)) as pool:
             for pairs in pool.map(_run_chunk, chunk_args):
                 for r, res in pairs:
                     trial_results[r] = res
 
+    truth_erank = effective_rank(source.sigma)
     errors = {}
     final_designs = {}
     bound_reports: dict[tuple, BoundReport] = {}
@@ -267,9 +280,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         errors[(arm, frac)] = curves
         mean_design = designs.mean(axis=0)
         final_designs[(arm, frac)] = mean_design
-        bound_reports[(arm, frac)] = bound_report(
-            source.sigma, MaskDistribution(mean_design), samples=spec.total_samples,
-            eta=spec.eta, gamma=spec.gamma, q=spec.q, sigma_ratio=spec.sigma_ratio,
+        bound_reports[(arm, frac)] = _bound_report(
+            source.sigma, MaskDistribution(mean_design), spec.total_samples,
+            spec.eta, spec.gamma, spec.q, spec.sigma_ratio, truth_erank,
         )
 
     checkpoints = spec.batch_size * np.arange(1, spec.iterations + 1)
@@ -280,7 +293,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         errors=errors,
         final_designs=final_designs,
         bound_reports=bound_reports,
-        truth_erank=effective_rank(source.sigma),
+        truth_erank=truth_erank,
     )
 
 

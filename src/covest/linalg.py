@@ -25,8 +25,18 @@ def psd_sqrt_factor(sym: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """
     sym = check_square(sym)
     w, v = np.linalg.eigh(sym)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -tol * scale:
+    return (v * clamped_sqrt(w, tol)) @ v.T
+
+
+def clamped_sqrt(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Square roots of a symmetric matrix's eigenvalues, clamped as in psd_sqrt_factor.
+
+    For a diagonal matrix the eigenvalues are its diagonal, and the factor is
+    diag(clamped_sqrt(diagonal)).
+    """
+    w = np.asarray(w, dtype=float)
+    lo, hi = w.min(), w.max()
+    scale = max(abs(lo), abs(hi), 1.0)
+    if lo < -tol * scale:
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+    return np.sqrt(np.clip(w, 0.0, None))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.data import make_spiked_model
-from covest.design import design_probabilities
-from covest.sampling import MaskDistribution, child_rng, derive_seed
+from covest.design import design_probabilities, update_design
+from covest.estimator import CovarianceEstimate, estimate_cov, merge_estimates, relative_frobenius_error
+from covest.sampling import MaskDistribution, child_rng, derive_seed, mask_batch
 
 
 def test_config_validation():
@@ -166,3 +169,110 @@ def test_matched_design_beats_uniform_on_spiked_truth():
     mean = {k: float(np.mean(v)) for k, v in errs.items()}
     assert mean["designed"] < mean["uniform"]
     assert mean["active"] < mean["uniform"]
+
+
+def _reference_chain(oracle, p, iterations, batch_size, seed, truth, adapt, budget=None, eps=1e-3):
+    """The batch loop composed from the public estimator functions."""
+    estimate = CovarianceEstimate.zero(p.n)
+    steps = []
+    for t in range(iterations):
+        batch = mask_batch(oracle.draw(batch_size), p, child_rng(seed, t))
+        batch_estimate = estimate_cov(batch, p)
+        estimate = merge_estimates(estimate, batch_estimate)
+        rel = np.nan if truth is None else relative_frobenius_error(estimate, truth)
+        steps.append((p.p, batch_estimate, estimate, rel, batch.observed_count))
+        if adapt:
+            p = update_design(estimate, budget, eps).p
+    return steps, estimate, p.p
+
+
+def _assert_trace_matches(trace, steps, estimate, final_design):
+    assert len(trace) == len(steps)
+    for rec, (design, batch_estimate, merged, rel, observed) in zip(trace.records, steps):
+        assert np.array_equal(rec.design, design)
+        assert np.array_equal(rec.batch_estimate.matrix, batch_estimate.matrix)
+        assert rec.batch_estimate.sample_count == batch_estimate.sample_count
+        assert np.array_equal(rec.merged.matrix, merged.matrix)
+        assert (rec.merged.sample_count, rec.merged.iterations) == (merged.sample_count, merged.iterations)
+        assert rec.sample_count == merged.sample_count
+        assert rec.observed_count == observed
+    assert np.array_equal(trace.errors(), [step[3] for step in steps], equal_nan=True)
+    assert np.array_equal(trace.final_estimate.matrix, estimate.matrix)
+    assert trace.final_estimate.sample_count == estimate.sample_count
+    assert trace.final_estimate.iterations == estimate.iterations
+    assert np.array_equal(trace.final_design, final_design)
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_active_loop_matches_reference_chain_bitwise(seed, with_truth):
+    model = make_spiked_model(12, 2, 30.0, theta=0.1, seed=seed)
+    truth = model.sigma if with_truth else None
+    cfg = ActiveConfig(budget=5.0, batch_size=9, iterations=7, eps=1e-2, seed=derive_seed(seed, 1))
+    trace = run_active(model.stream(child_rng(seed, 2)), cfg, truth=truth, record_matrices=True)
+    reference = _reference_chain(model.stream(child_rng(seed, 2)), MaskDistribution.uniform(12, 5.0),
+                                 7, 9, cfg.seed, truth, adapt=True, budget=5.0, eps=1e-2)
+    _assert_trace_matches(trace, *reference)
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fixed_loop_matches_reference_chain_bitwise(seed, with_truth):
+    model = make_spiked_model(10, 3, 20.0, theta=0.2, seed=seed)
+    truth = model.sigma if with_truth else None
+    p = design_probabilities(np.diag(model.sigma), 4.0, eps=1e-2).p
+    trace = run_fixed(model.stream(child_rng(seed, 3)), p, total=40, truth=truth,
+                      batch_size=8, seed=seed, record_matrices=True)
+    reference = _reference_chain(model.stream(child_rng(seed, 3)), p, 5, 8, seed, truth, adapt=False)
+    _assert_trace_matches(trace, *reference)
+
+
+class _DenseStream:
+    """Rows drawn with a random mean shift, so every entry of the estimate is generic."""
+
+    def __init__(self, n, seed):
+        self.dim = n
+        self._rng = child_rng(seed)
+
+    def draw(self, count):
+        return self._rng.standard_normal((count, self.dim)) + self._rng.standard_normal(self.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    batch_size=st.integers(1, 12),
+    iterations=st.integers(1, 4),
+    p=st.lists(st.floats(0.01, 1.0), min_size=9, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_loop_matches_reference_chain_property(n, batch_size, iterations, p, seed):
+    design = MaskDistribution(np.array(p[:n]))
+    truth = np.eye(n) + 0.5
+    trace = run_fixed(_DenseStream(n, seed), design, total=batch_size * iterations, truth=truth,
+                      batch_size=batch_size, seed=seed, record_matrices=True)
+    reference = _reference_chain(_DenseStream(n, seed), design, iterations, batch_size, seed,
+                                 truth, adapt=False)
+    _assert_trace_matches(trace, *reference)
+
+
+def test_records_keep_no_matrices_by_default():
+    model = make_spiked_model(4, 1, 9.0, seed=1)
+    cfg = ActiveConfig(budget=2.0, batch_size=5, iterations=3, seed=2)
+    active = run_active(model.stream(child_rng(3)), cfg, truth=model.sigma)
+    fixed = run_fixed(model.stream(child_rng(3)), MaskDistribution.uniform(4, 2.0), total=15,
+                      truth=model.sigma, batch_size=5)
+    for trace in (active, fixed):
+        assert all(r.batch_estimate is None and r.merged is None for r in trace.records)
+        assert trace.final_estimate.sample_count == 15
+        assert trace.final_estimate.iterations == 3
+
+
+def test_truth_must_match_and_be_nonzero():
+    model = make_spiked_model(4, 1, 9.0)
+    cfg = ActiveConfig(budget=2.0, batch_size=5, iterations=2)
+    with pytest.raises(ValueError, match="share a shape"):
+        run_active(model.stream(child_rng(0)), cfg, truth=np.eye(3))
+    with pytest.raises(ValueError, match="nonzero"):
+        run_fixed(model.stream(child_rng(0)), MaskDistribution.uniform(4, 2.0), total=10,
+                  truth=np.zeros((4, 4)))

@@ -12,6 +12,7 @@ from covest.data import (
     make_spiked_model,
     sample_x,
 )
+from covest.linalg import psd_sqrt_factor, spectral_norm
 from covest.sampling import child_rng
 
 from helpers import idx_bytes
@@ -67,6 +68,41 @@ def test_synthetic_model_errors():
 def test_factor_reproduces_sigma():
     model = make_spiked_model(7, 2, 12.0, theta=0.3, seed=4)
     assert np.abs(model.factor @ model.factor.T - model.sigma).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_diagonal_factor_draw_matches_dense_product(seed):
+    model = make_spiked_model(40, 3, 50.0, theta=1 / 16, seed=seed)
+    factor = psd_sqrt_factor(model.sigma)
+    assert np.array_equal(model.factor, factor)
+    assert model.base_spectral_norm == spectral_norm(model.base_cov)
+    drawn = model.stream(child_rng(seed, 1)).draw(25)
+    expected = child_rng(seed, 1).standard_normal((25, 40)) @ factor.T
+    assert np.array_equal(drawn, expected)
+
+
+def test_diagonal_model_clamps_and_rejects_like_eigh():
+    # a dip within the tolerance is clamped to zero, as psd_sqrt_factor does
+    base = np.diag([4.0, 1.0, -1e-12])
+    assert np.array_equal(SyntheticModel(base).factor, psd_sqrt_factor(base))
+    with pytest.raises(ValueError, match="positive semidefinite") as diagonal:
+        SyntheticModel(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="positive semidefinite") as dense:
+        psd_sqrt_factor(np.diag([1.0, -1.0]))
+    assert str(diagonal.value) == str(dense.value)
+
+
+def test_dense_model_draws_through_its_factor():
+    base = np.array([[2.0, 0.5], [0.5, 1.0]])
+    model = SyntheticModel(base, theta=0.1)
+    drawn = model.stream(child_rng(4)).draw(6)
+    assert np.array_equal(drawn, child_rng(4).standard_normal((6, 2)) @ model.factor.T)
+
+
+def test_synthetic_model_rejects_non_finite_base():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticModel(np.diag([1.0, bad]))
 
 
 def test_stream_covariance_matches_sigma():

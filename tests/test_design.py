@@ -158,6 +158,19 @@ def test_design_errors():
         DesignProblem(target=np.array([1.0]), m=0.5, floor=1.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_design_rejects_non_finite_profile(bad):
+    with pytest.raises(ValueError, match="variance profile"):
+        design_probabilities([bad, 1.0], 1.0)
+
+
+def test_update_design_takes_a_matrix():
+    matrix = np.array([[4.0, 0.3], [0.3, 1.0]])
+    from_matrix = update_design(matrix, 1.0)
+    from_estimate = update_design(CovarianceEstimate(matrix, sample_count=1), 1.0)
+    assert np.array_equal(from_matrix.p.p, from_estimate.p.p)
+
+
 def test_update_design_clamps_negative_diagonal():
     est = CovarianceEstimate(np.diag([4.0, -0.5, 1.0]), sample_count=10)
     sol = update_design(est, 1.5, eps=1e-2)

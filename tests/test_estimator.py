@@ -99,6 +99,22 @@ def test_unbiased_on_dense_covariance_across_trials():
     assert np.all(np.abs(stack.mean(axis=0) - cov) <= 5 * se)
 
 
+def test_estimate_rejects_underflowing_weights():
+    # each p_i is valid, but p_0 * p_1 underflows to zero
+    p = MaskDistribution(np.array([1e-200, 1e-200, 0.5]))
+    batch = mask_batch(np.ones((2, 3)), p, child_rng(0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        estimate_cov(batch, p)
+
+
+def test_estimate_weights_match_hadamard_inverse():
+    p = MaskDistribution(child_rng(4).uniform(0.01, 1.0, size=30))
+    xs = child_rng(5).standard_normal((7, 30))
+    batch = mask_batch(xs, p, child_rng(6))
+    expected = batch.observed.T @ batch.observed / 7 * hadamard_inverse(mask_second_moment(p))
+    assert np.array_equal(estimate_cov(batch, p).matrix, expected)
+
+
 def test_merge_first_batch_passes_through():
     batch = estimate_cov(
         mask_batch(child_rng(1).standard_normal((9, 3)), MaskDistribution(np.full(3, 0.8)), child_rng(2)),

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import covest.experiment
+from covest.bounds import bound_report, effective_rank
 from covest.experiment import (
     ARMS,
     EmpiricalSourceSpec,
@@ -13,6 +15,8 @@ from covest.experiment import (
     export_csv,
     run_experiment,
 )
+
+from covest.sampling import MaskDistribution
 
 from helpers import idx_bytes
 
@@ -179,3 +183,36 @@ def test_empirical_source_runs(tmp_path):
     assert result.dim == 16
     assert result.errors[("active", 0.6)].shape == (2, 2)
     assert np.all(np.isfinite(result.errors[("active", 0.6)]))
+
+
+def test_bound_reports_match_public_bound_report():
+    spec = small_spec()
+    result = run_experiment(spec)
+    sigma = covest.experiment._build_source(spec).sigma
+    assert result.truth_erank == effective_rank(sigma)
+    for key, report in result.bound_reports.items():
+        expected = bound_report(sigma, MaskDistribution(result.final_designs[key]),
+                                samples=spec.total_samples, eta=spec.eta, gamma=spec.gamma,
+                                q=spec.q, sigma_ratio=spec.sigma_ratio)
+        assert report.to_dict(include_matrix=False) == expected.to_dict(include_matrix=False)
+        assert np.array_equal(report.scale_matrix, expected.scale_matrix)
+
+
+def test_pool_workers_reuse_the_parents_source(monkeypatch):
+    # forked workers inherit the patched builder; a call inside one would raise
+    build = covest.experiment._build_source
+    calls = []
+
+    def build_once(spec):
+        if calls:
+            raise AssertionError("source built more than once")
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(covest.experiment, "_build_source", build_once)
+    parallel = run_experiment(small_spec(trials=4), jobs=2)
+    monkeypatch.setattr(covest.experiment, "_build_source", build)
+    serial = run_experiment(small_spec(trials=4), jobs=1)
+    assert len(calls) == 1
+    for key in serial.errors:
+        assert np.array_equal(parallel.errors[key], serial.errors[key])
