@@ -27,13 +27,11 @@ from .data import (
     build_empirical_source,
     load_idx,
     make_spiked_model,
-    sample_x,
 )
 from .design import (
     DesignProblem,
     DesignSolution,
     design_probabilities,
-    design_scale_norms,
     kkt_residual,
     project_box_simplex,
     update_design,
@@ -51,13 +49,11 @@ from .experiment import (
 from .sampling import (
     MaskDistribution,
     MaskedBatch,
-    MaskedSample,
     child_rng,
     derive_seed,
     draw_mask,
     hadamard_inverse,
     mask_batch,
-    mask_sample,
     mask_second_moment,
 )
 

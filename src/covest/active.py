@@ -23,7 +23,9 @@ from .estimator import (  # noqa: F401
     merge_estimates,
     relative_frobenius_error,
 )
-from .sampling import MaskDistribution, child_rng, mask_batch
+# mask_batch is unused here but stays importable: perfbench/spans.py wraps
+# covest.active.mask_batch and fails when the name is missing
+from .sampling import MaskDistribution, child_rng, draw_mask, mask_batch  # noqa: F401
 
 __all__ = ["ActiveConfig", "IterationRecord", "ActiveTrace", "run_active", "run_fixed"]
 
@@ -121,10 +123,16 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
     trace = ActiveTrace()
     for t in range(cfg.iterations):
         rng = child_rng(cfg.seed, t)
-        batch = mask_batch(oracle.draw(cfg.batch_size), p, rng)
-        count = len(batch)
+        # the rows come from outside the program, so their shape is checked;
+        # the masks are drawn here and need no validation
+        xs = np.asarray(oracle.draw(cfg.batch_size), dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != n:
+            raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
+        masks = draw_mask(p, rng, size=xs.shape[0])
+        observed = masks * xs
+        count = xs.shape[0]
         # estimate_cov: (obs^T obs / count) * weights; obs^T obs is exactly symmetric
-        np.matmul(batch.observed.T, batch.observed, out=work)
+        np.matmul(observed.T, observed, out=work)
         work /= count
         work *= weights
         batch_estimate = CovarianceEstimate(work.copy(), count) if record_matrices else None
@@ -146,7 +154,7 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
                 batch_estimate=batch_estimate,
                 merged=merged,
                 rel_error=rel,
-                observed_count=batch.observed_count,
+                observed_count=int(masks.sum()),
                 sample_count=samples,
             )
         )

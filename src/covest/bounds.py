@@ -120,7 +120,8 @@ def error_scale_norm_bound(
     top = float(np.linalg.eigvalsh(cov)[-1])
     value = 2.0 * sigma_ratio**2 * erank * top / p.p_min**2
     # cheap self-check: the summary bound must dominate the exact norm
-    assert entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q) <= value
+    if not entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q) <= value:
+        raise RuntimeError("effective-rank bound fell below the exact scale-matrix norm")
     return float(value)
 
 

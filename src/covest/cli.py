@@ -267,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, AssertionError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         _log(f"error: {exc}")
         return 1
 

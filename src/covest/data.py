@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import check_square, clamped_sqrt, psd_sqrt_factor, spectral_norm
-from .sampling import child_rng
 
 __all__ = [
     "SyntheticModel",
@@ -22,7 +21,6 @@ __all__ = [
     "EmpiricalSource",
     "EpochStream",
     "make_spiked_model",
-    "sample_x",
     "load_idx",
     "build_empirical_source",
 ]
@@ -172,11 +170,6 @@ class EpochStream:
         if self._source.noise_scale > 0.0:
             rows = rows + self._source.noise_scale * self._rng.standard_normal(rows.shape)
         return rows
-
-
-def sample_x(source, count: int, seed: int = 0) -> np.ndarray:
-    """Convenience: draw ``count`` rows from a fresh stream seeded by ``seed``."""
-    return source.stream(child_rng(seed)).draw(count)
 
 
 def load_idx(path) -> np.ndarray:

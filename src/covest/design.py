@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import entrywise_norm, error_scale_matrix
 from .estimator import CovarianceEstimate
 from .sampling import MaskDistribution
 
@@ -25,10 +24,7 @@ __all__ = [
     "kkt_residual",
     "design_probabilities",
     "update_design",
-    "design_scale_norms",
 ]
-
-_BUDGET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,12 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class DesignSolution:
-    """Solver output: the design, the fitted scale, and convergence facts."""
+    """Solver output: the design, the fitted scale, and convergence facts.
+
+    p is the exact projection of rho * target onto the budgeted box, so
+    kkt_residual(p, rho * target, m, floor) certifies it; converged says the
+    scale has settled as well.
+    """
 
     p: MaskDistribution
     rho: float
@@ -77,12 +78,36 @@ class DesignSolution:
     objective_history: tuple = ()
 
 
+def _solve_on_pattern(v: np.ndarray, m: float, lo: float, hi: float, lam: float):
+    """Solve the budget exactly on the pinned/free pattern of clip(v - lam, lo, hi).
+
+    Entries at or past a bound stay there; the free entries share one shift,
+    chosen so the sum is m. Returns the result and whether it keeps the
+    pattern it was solved on, in which case it is the exact projection.
+    """
+    shifted = v - lam
+    at_hi = shifted >= hi
+    at_lo = shifted <= lo
+    free = ~(at_hi | at_lo)
+    k = np.count_nonzero(free)
+    if k == 0:
+        return np.clip(shifted, lo, hi), False
+    pinned = hi * np.count_nonzero(at_hi) + lo * np.count_nonzero(at_lo)
+    p = np.clip(v - (float(v[free].sum()) + pinned - m) / k, lo, hi)
+    return p, bool(np.array_equal(p == hi, at_hi) and np.array_equal(p == lo, at_lo))
+
+
 def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Euclidean projection of v onto {p : sum(p) = m, lo <= p_i <= hi}.
 
-    Bisects the dual scalar lam in p(lam) = clip(v - lam, lo, hi), whose sum
-    is continuous and nonincreasing in lam, then polishes lam exactly on the
-    final free set. Raises when the budget is infeasible for the box.
+    The projection is clip(v - lam, lo, hi) for the scalar lam at which its
+    sum is m. That sum is piecewise linear and nonincreasing in lam, with
+    breakpoints at v - hi and v - lo, so lam is exact once the pinned/free
+    pattern is known. The pattern at lam = 0 is tried first, in O(n); when
+    solving on it moves an entry across a bound, the 2n breakpoints are
+    sorted, the segment whose sum brackets m is found by cumulative sums, and
+    the pattern at its midpoint is solved (Condat, Math. Prog. 2016). Raises
+    when the budget is infeasible for the box.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -98,36 +123,20 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     if m <= n * lo:
         return np.full(n, lo)
 
-    budget_tol = _BUDGET_TOL * max(1.0, abs(m))
-    clipped = np.clip(v, lo, hi)
-    if abs(clipped.sum() - m) <= budget_tol:
-        return clipped  # already feasible, lam = 0
-
-    lam_lo = float(v.min()) - hi  # sum = n*hi here
-    lam_hi = float(v.max()) - lo  # sum = n*lo here
-    p = clipped
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        p = np.clip(v - lam, lo, hi)
-        gap = p.sum() - m
-        if abs(gap) <= budget_tol:
-            return p
-        if gap > 0:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo <= 1e-13 * max(1.0, abs(lam_lo), abs(lam_hi)):
-            break
-    # Newton polish: the sum is linear in lam while the free set is stable
-    for _ in range(4):
-        gap = p.sum() - m
-        if abs(gap) <= budget_tol:
-            break
-        free = (p > lo) & (p < hi)
-        if not free.any():
-            break
-        lam += gap / free.sum()
-        p = np.clip(v - lam, lo, hi)
+    p, exact = _solve_on_pattern(v, m, lo, hi, 0.0)
+    if exact:
+        return p
+    # entry i is free between its breakpoints v_i - hi and v_i - lo, so the
+    # free count steps +1 at the first and -1 at the second
+    breaks = np.concatenate([v - hi, v - lo])
+    order = np.argsort(breaks, kind="stable")
+    breaks = breaks[order]
+    free_count = np.cumsum(np.where(order < n, 1, -1))
+    sums = n * hi - np.concatenate([[0.0], np.cumsum(free_count[:-1] * np.diff(breaks))])
+    # sums falls from n*hi > m; rounding can leave its end above an m close
+    # to n*lo, in which case m lies on the last segment
+    j = min(int(np.searchsorted(-sums, -m)), 2 * n - 1)
+    p, _ = _solve_on_pattern(v, m, lo, hi, 0.5 * (breaks[j - 1] + breaks[j]))
     return p
 
 
@@ -136,22 +145,29 @@ def kkt_residual(p: np.ndarray, v: np.ndarray, m: float, lo: float = 0.0, hi: fl
 
     A point is the projection of v exactly when some scalar lam reproduces it
     via clip(v - lam, lo, hi) and the budget holds. Returns the larger of the
-    budget violation and the entrywise distance to the best such lam.
+    budget violation and the entrywise distance to the best such lam. The lam
+    is fitted twice, once taking every entry strictly inside the box as free
+    and once pinning entries within rounding of a bound, and the closer fit
+    counts: an entry a hair above lo is free when the budget itself is that
+    small, but pinned when it is rounding left on a clipped entry.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     budget_dev = abs(float(p.sum()) - m)
-    atol = 1e-12 * max(1.0, hi - lo)
-    free = (p > lo + atol) & (p < hi - atol)
-    if free.any():
-        lam = float(np.mean(v[free] - p[free]))
-    else:
-        # all entries pinned: any lam in the admissible interval works
-        upper = np.min(v[p >= hi - atol] - hi) if np.any(p >= hi - atol) else np.inf
-        lower = np.max(v[p <= lo + atol] - lo) if np.any(p <= lo + atol) else -np.inf
-        lam = min(max(0.0, lower), upper) if lower <= upper else 0.5 * (lower + upper)
-    dev = float(np.max(np.abs(p - np.clip(v - lam, lo, hi))))
-    return max(dev, budget_dev)
+    devs = []
+    for atol in (0.0, 1e-12 * max(1.0, hi - lo)):
+        at_hi = p >= hi - atol
+        at_lo = p <= lo + atol
+        free = ~(at_hi | at_lo)
+        if free.any():
+            lam = float(np.mean(v[free] - p[free]))
+        else:
+            # all entries pinned: any lam in the admissible interval works
+            upper = np.min(v[at_hi] - hi) if at_hi.any() else np.inf
+            lower = np.max(v[at_lo] - lo) if at_lo.any() else -np.inf
+            lam = min(max(0.0, lower), upper) if lower <= upper else 0.5 * (lower + upper)
+        devs.append(float(np.max(np.abs(p - np.clip(v - lam, lo, hi)))))
+    return max(min(devs), budget_dev)
 
 
 def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) -> DesignSolution:
@@ -159,8 +175,10 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
 
     Minimizes 0.5 * ||p - rho * target||^2 over the budgeted box jointly in
     (p, rho), where target is sqrt(diag_sigma). Both updates are exact
-    partial minimizers, so the objective never increases. When the profile is
-    flat the answer is exactly uniform by symmetry.
+    partial minimizers, so the objective never increases. Each iteration
+    projects, records the objective and stops once it falls by less than
+    1e-12, before rescaling, so the returned rho is the one p was projected
+    from. When the profile is flat the answer is exactly uniform by symmetry.
     """
     diag_sigma = np.asarray(diag_sigma, dtype=float)
     if not np.all(np.isfinite(diag_sigma)):
@@ -190,14 +208,13 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     iterations = 0
     for iterations in range(1, 501):
         p = project_box_simplex(rho * s, problem.m, lo=problem.floor, hi=1.0)
-        rho = float(p @ s / (s @ s))
         obj = 0.5 * float(np.sum((p - rho * s) ** 2))
-        assert obj <= prev_obj + 1e-10, "alternating descent must not increase the objective"
         history.append(obj)
         if prev_obj - obj < 1e-12:
             converged = True
             break
         prev_obj = obj
+        rho = float(p @ s / (s @ s))
 
     if np.any(p <= 0.0):
         raise ValueError(
@@ -225,11 +242,3 @@ def update_design(estimate, m: float, eps: float = 1e-3) -> DesignSolution:
         estimate = estimate.matrix
     diag = np.clip(np.diag(np.asarray(estimate, dtype=float)), 0.0, None)
     return design_probabilities(diag, m, eps)
-
-
-def design_scale_norms(cov, designs, sigma_ratio: float = 1.0, q: float = 2.0) -> list[float]:
-    """Score candidate designs by the entrywise q-norm of their error-scale matrix.
-
-    A comparison hook only; nothing optimizes this norm directly.
-    """
-    return [entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q) for p in designs]

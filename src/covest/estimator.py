@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MaskDistribution, MaskedBatch, MaskedSample
+from .sampling import MaskDistribution, MaskedBatch
 
 __all__ = [
     "CovarianceEstimate",
@@ -52,19 +52,11 @@ class CovarianceEstimate:
 
 
 def _stack_observed(samples, n: int) -> np.ndarray:
-    if isinstance(samples, MaskedBatch):
-        if samples.n != n:
-            raise ValueError(f"batch dimension {samples.n} does not match distribution ({n})")
-        return samples.observed
-    rows = list(samples)
-    if not rows:
-        raise ValueError("cannot estimate from an empty sample collection")
-    for s in rows:
-        if not isinstance(s, MaskedSample):
-            raise TypeError("samples must be MaskedSample items or a MaskedBatch")
-        if s.n != n:
-            raise ValueError(f"sample dimension {s.n} does not match distribution ({n})")
-    return np.stack([s.observed for s in rows])
+    if not isinstance(samples, MaskedBatch):
+        raise TypeError("samples must be a MaskedBatch")
+    if samples.n != n:
+        raise ValueError(f"batch dimension {samples.n} does not match distribution ({n})")
+    return samples.observed
 
 
 def _inverse_mask_moment(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

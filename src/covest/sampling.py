@@ -14,14 +14,12 @@ import numpy as np
 
 __all__ = [
     "MaskDistribution",
-    "MaskedSample",
     "MaskedBatch",
     "child_rng",
     "derive_seed",
     "mask_second_moment",
     "hadamard_inverse",
     "draw_mask",
-    "mask_sample",
     "mask_batch",
 ]
 
@@ -57,7 +55,8 @@ class MaskDistribution:
         p = np.asarray(self.p, dtype=float).copy()
         if p.ndim != 1 or p.size == 0:
             raise ValueError("observation probabilities must form a nonempty 1-D vector")
-        if np.any(p <= 0.0) or np.any(p > 1.0):
+        # NaN fails both comparisons, so it is rejected here too
+        if not np.all((p > 0.0) & (p <= 1.0)):
             raise ValueError("observation probabilities must lie in (0, 1]")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
@@ -79,30 +78,6 @@ class MaskDistribution:
     def uniform(cls, n: int, m: float) -> "MaskDistribution":
         """Spread a budget of m evenly: every coordinate observed w.p. m/n."""
         return cls(np.full(int(n), m / n))
-
-
-@dataclass(frozen=True)
-class MaskedSample:
-    """One realized observation: the mask and the masked vector y = mask * x."""
-
-    mask: np.ndarray
-    observed: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=float)
-        observed = np.asarray(self.observed, dtype=float)
-        if mask.shape != observed.shape or mask.ndim != 1:
-            raise ValueError("mask and observed vector must be 1-D with equal length")
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        if np.any(observed[mask == 0.0] != 0.0):
-            raise ValueError("observed vector must vanish on unobserved coordinates")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "observed", observed)
-
-    @property
-    def n(self) -> int:
-        return self.mask.size
 
 
 @dataclass(frozen=True)
@@ -164,15 +139,6 @@ def draw_mask(p: MaskDistribution, rng: np.random.Generator, size: int | None = 
     """
     shape = p.n if size is None else (int(size), p.n)
     return (rng.random(shape) < p.p).astype(float)
-
-
-def mask_sample(x: np.ndarray, p: MaskDistribution, rng: np.random.Generator) -> MaskedSample:
-    """Observe a single vector through a freshly drawn mask."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != p.n:
-        raise ValueError(f"sample has dimension {x.shape}, expected ({p.n},)")
-    mask = draw_mask(p, rng)
-    return MaskedSample(mask=mask, observed=mask * x)
 
 
 def mask_batch(xs: np.ndarray, p: MaskDistribution, rng: np.random.Generator) -> MaskedBatch:

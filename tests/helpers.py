@@ -24,8 +24,7 @@ def grid_project(v, m, lo=0.0, hi=1.0, step=1e-3):
 
     Every candidate optimum has the form clip(v - lam, lo, hi); scanning lam
     on a fixed grid and keeping the budget-closest candidate lands within one
-    step of the true projection, entrywise. Independent of the bisection in
-    the implementation.
+    step of the true projection, entrywise. Independent of the implementation.
     """
     lam_grid = np.arange(v.min() - hi, v.max() - lo + step, step)
     candidates = np.clip(v[None, :] - lam_grid[:, None], lo, hi)

@@ -21,6 +21,18 @@ def test_config_validation():
         ActiveConfig(budget=1.0, batch_size=5, iterations=2, eps=1.5)
 
 
+class _WrongWidthOracle:
+    dim = 4
+
+    def draw(self, count):
+        return np.ones((count, 3))
+
+
+def test_oracle_rows_must_match_dimension():
+    with pytest.raises(ValueError, match="oracle returned rows"):
+        run_active(_WrongWidthOracle(), ActiveConfig(budget=2.0, batch_size=4, iterations=1))
+
+
 def test_budget_checks():
     model = make_spiked_model(4, 1, 10.0)
     stream = model.stream(child_rng(0))

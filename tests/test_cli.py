@@ -49,6 +49,17 @@ def test_design_json_output(capsys, tmp_path):
     assert "wrote design" in stderr
 
 
+def test_design_n784_profile(capsys, tmp_path):
+    # a valid profile on which the inexact projection broke the descent check
+    diag = tmp_path / "diag.csv"
+    np.savetxt(diag, np.random.default_rng(0).uniform(0, 10, 784) ** 2, delimiter=",")
+    code, stdout, stderr = run_cli(capsys, "design", "--diag", str(diag), "--budget", "705.6")
+    assert code == 0, stderr
+    payload = json.loads(stdout)
+    assert payload["converged"] is True
+    assert sum(payload["p"]) == pytest.approx(705.6, abs=1e-9)
+
+
 def test_design_infeasible_budget(capsys):
     code, stdout, stderr = run_cli(capsys, "design", "--diag", "4,1", "--budget", "3")
     assert code == 1

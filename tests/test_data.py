@@ -10,7 +10,6 @@ from covest.data import (
     build_empirical_source,
     load_idx,
     make_spiked_model,
-    sample_x,
 )
 from covest.linalg import psd_sqrt_factor, spectral_norm
 from covest.sampling import child_rng
@@ -181,12 +180,6 @@ def test_empirical_source_errors():
         EmpiricalSource(np.ones((4, 3)))  # identical rows: zero covariance
     with pytest.raises(ValueError):
         EmpiricalSource(np.arange(6.0).reshape(3, 2), theta=-1.0)
-
-
-def test_sample_x_deterministic():
-    model = make_spiked_model(3, 1, 5.0)
-    assert np.array_equal(sample_x(model, 5, seed=3), sample_x(model, 5, seed=3))
-    assert not np.array_equal(sample_x(model, 5, seed=3), sample_x(model, 5, seed=4))
 
 
 def test_load_idx_round_trip(tmp_path):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covest.bounds import entrywise_norm, error_scale_matrix
 from covest.design import (
     DesignProblem,
     design_probabilities,
-    design_scale_norms,
     kkt_residual,
     project_box_simplex,
     update_design,
@@ -54,7 +56,7 @@ def test_projection_infeasible_budget():
 
 
 def test_projection_against_grid_oracle():
-    # brute-force scan over the dual scalar, independent of the bisection
+    # brute-force scan over the dual scalar, independent of the implementation
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(1, 6))
@@ -185,5 +187,61 @@ def test_design_scale_norms_prefers_matched_design():
     m = 2.0
     designed = design_probabilities(np.diag(cov), m).p
     uniform = MaskDistribution.uniform(4, m)
-    scored = design_scale_norms(cov, [designed, uniform])
+    scored = [entrywise_norm(error_scale_matrix(cov, p), 2.0) for p in (designed, uniform)]
     assert scored[0] < scored[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 784),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["normal", "feasible", "ties"]),
+    lo=st.floats(0.0, 0.5),
+    width=st.floats(1e-3, 2.0),
+    where=st.one_of(st.sampled_from([0.0, 1e-15, 1.0 - 1e-15, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_projection_kkt_property(n, seed, kind, lo, width, where):
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    if kind == "feasible":
+        v = rng.uniform(lo, hi, size=n)  # already in the box
+    else:
+        v = rng.normal(loc=0.5 * (lo + hi), scale=rng.uniform(0.01, 20.0), size=n)
+        if kind == "ties":
+            v = np.round(v, 1)  # repeated values give repeated breakpoints
+    m = n * (lo + where * width)
+    if kind == "feasible" and 0.0 < where < 1.0:
+        m = min(max(float(v.sum()), n * lo), n * hi)  # v is its own projection
+    p = project_box_simplex(v, m, lo=lo, hi=hi)
+    assert kkt_residual(p, v, m, lo=lo, hi=hi) <= 1e-12 * max(1.0, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 784),
+    seed=st.integers(0, 2**32 - 1),
+    spikes=st.integers(0, 5),
+    zeros=st.floats(0.0, 0.9),
+    where=st.floats(0.0, 1.0),
+)
+def test_design_property(n, seed, spikes, zeros, where):
+    eps = 1e-3
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.0, 10.0, size=n) ** 2
+    diag[rng.random(n) < zeros] = 0.0
+    diag[rng.integers(n, size=spikes)] *= 100.0
+    diag[rng.integers(n)] += 1.0  # at least one positive entry
+    m = n * (eps + where * (1.0 - eps))
+    sol = design_probabilities(diag, m, eps=eps)
+    assert abs(sol.p.p.sum() - m) <= 1e-9 * m
+    assert np.all(sol.p.p >= eps) and np.all(sol.p.p <= 1.0)
+    hist = np.array(sol.objective_history)
+    assert np.all(np.diff(hist) <= 1e-12 * max(1.0, hist[0]))
+
+
+def test_design_n784_regression():
+    # the inexact projection raised "alternating descent must not increase the
+    # objective" on this valid profile
+    sol = design_probabilities(np.random.default_rng(0).uniform(0, 10, 784) ** 2, 0.9 * 784)
+    assert sol.converged
+    assert abs(sol.p.p.sum() - 705.6) <= 1e-9 * 705.6

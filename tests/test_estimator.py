@@ -11,7 +11,6 @@ from covest.linalg import psd_sqrt_factor
 from covest.sampling import (
     MaskDistribution,
     MaskedBatch,
-    MaskedSample,
     child_rng,
     hadamard_inverse,
     mask_batch,
@@ -25,8 +24,8 @@ def test_single_sample_reweighting():
     # one sample, one observed coordinate: the observed diagonal cell is
     # scaled by 1/p_i, everything else stays zero
     p = MaskDistribution(np.array([0.5, 0.5]))
-    s = MaskedSample(mask=np.array([1.0, 0.0]), observed=np.array([1.0, 0.0]))
-    est = estimate_cov([s], p)
+    batch = MaskedBatch(masks=np.array([[1.0, 0.0]]), observed=np.array([[1.0, 0.0]]))
+    est = estimate_cov(batch, p)
     assert np.array_equal(est.matrix, np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert est.sample_count == 1
     assert est.iterations == 1
@@ -42,21 +41,13 @@ def test_full_observation_is_plain_sample_covariance():
         assert np.abs(est.matrix - xs.T @ xs / 30).max() <= 1e-12
 
 
-def test_estimate_accepts_list_or_batch():
-    p = MaskDistribution(np.full(3, 0.6))
-    xs = child_rng(4).standard_normal((12, 3))
-    batch = mask_batch(xs, p, child_rng(5))
-    as_list = [MaskedSample(mask=batch.masks[i], observed=batch.observed[i]) for i in range(12)]
-    assert np.array_equal(estimate_cov(batch, p).matrix, estimate_cov(as_list, p).matrix)
-
-
 def test_estimate_errors():
     p = MaskDistribution(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        estimate_cov([], p)
-    bad = MaskedSample(mask=np.array([1.0, 0.0, 0.0]), observed=np.array([1.0, 0.0, 0.0]))
+        estimate_cov(MaskedBatch(masks=np.zeros((0, 2)), observed=np.zeros((0, 2))), p)
+    bad = MaskedBatch(masks=np.array([[1.0, 0.0, 0.0]]), observed=np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        estimate_cov([bad], p)
+        estimate_cov(bad, p)
     with pytest.raises(TypeError):
         estimate_cov([np.ones(2)], p)
 
