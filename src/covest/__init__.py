@@ -29,7 +29,6 @@ from .data import (
     make_spiked_model,
 )
 from .design import (
-    DesignProblem,
     DesignSolution,
     design_probabilities,
     kkt_residual,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import update_design
+from .design import _check_budget, update_design
 # estimate_cov, merge_estimates and relative_frobenius_error are what the loop
 # reproduces in place; they stay importable from this module, where
 # perfbench/spans.py instruments them
@@ -91,13 +91,6 @@ class ActiveTrace:
         return len(self.records)
 
 
-def _check_budget(n: int, budget: float, eps: float) -> None:
-    if budget > n * (1 + 1e-12):
-        raise ValueError(f"budget {budget} exceeds dimension {n}")
-    if budget < n * eps - 1e-12:
-        raise ValueError(f"budget {budget} cannot cover floor {eps} in dimension {n}")
-
-
 def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: bool,
                  record_matrices: bool) -> ActiveTrace:
     """The batch loop, with one running mean updated in place.
@@ -123,25 +116,30 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
     trace = ActiveTrace()
     for t in range(cfg.iterations):
         rng = child_rng(cfg.seed, t)
-        # the rows come from outside the program, so their shape is checked;
-        # the masks are drawn here and need no validation
+        # the rows come from outside the program, so they are checked; the
+        # masks are drawn here and need no validation
         xs = np.asarray(oracle.draw(cfg.batch_size), dtype=float)
         if xs.ndim != 2 or xs.shape[1] != n:
             raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
-        masks = draw_mask(p, rng, size=xs.shape[0])
-        observed = masks * xs
         count = xs.shape[0]
+        if count == 0:
+            raise ValueError("oracle returned no rows")
+        if not np.isfinite(xs).all():
+            raise ValueError("oracle returned non-finite values (NaN or inf)")
+        masks = draw_mask(p, rng, size=count)
+        observed = masks * xs
         # estimate_cov: (obs^T obs / count) * weights; obs^T obs is exactly symmetric
         np.matmul(observed.T, observed, out=work)
         work /= count
         work *= weights
         batch_estimate = CovarianceEstimate(work.copy(), count) if record_matrices else None
-        # merge_estimates: batch / (t + 1) + mean * (t / (t + 1))
-        mean *= t / (t + 1)
-        work /= t + 1
+        # merge_estimates: batch / (total / count) + mean * (samples / total)
+        total = samples + count
+        mean *= samples / total
+        work /= total / count
         mean += work
-        samples += count
-        merged = CovarianceEstimate(mean.copy(), samples, t + 1) if record_matrices else None
+        samples = total
+        merged = CovarianceEstimate(mean.copy(), samples) if record_matrices else None
         rel = None
         if truth is not None:
             # relative_frobenius_error
@@ -164,7 +162,7 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
                 _inverse_mask_moment(p_next.p, out=weights)
             p = p_next
     trace.final_design = p.p
-    trace.final_estimate = CovarianceEstimate(mean, samples, cfg.iterations)
+    trace.final_estimate = CovarianceEstimate(mean, samples)
     return trace
 
 

@@ -127,9 +127,11 @@ def error_scale_norm_bound(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything needed to audit one error-bound evaluation."""
+    """Everything needed to audit one error-bound evaluation.
 
-    scale_matrix: np.ndarray
+    The n x n scale matrix is not kept; error_scale_matrix recomputes it.
+    """
+
     scale_norm: float
     q: float
     erank: float
@@ -139,8 +141,8 @@ class BoundReport:
     samples: int
     sigma_ratio: float
 
-    def to_dict(self, include_matrix: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "scale_norm": self.scale_norm,
             "q": self.q,
             "erank": self.erank,
@@ -150,9 +152,6 @@ class BoundReport:
             "samples": self.samples,
             "sigma_ratio": self.sigma_ratio,
         }
-        if include_matrix:
-            out["scale_matrix"] = self.scale_matrix.tolist()
-        return out
 
 
 def bound_report(
@@ -164,17 +163,15 @@ def bound_report(
     q: float = 2.0,
     sigma_ratio: float = 1.0,
 ) -> BoundReport:
-    """Assemble the scale matrix, its norm, the effective rank, and the bound."""
+    """Assemble the scale-matrix norm, the effective rank, and the bound."""
     return _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, effective_rank(cov))
 
 
 def _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, erank: float) -> BoundReport:
     # bound_report with the effective rank of cov supplied by a caller that
     # reports on one covariance under many designs
-    scale = error_scale_matrix(cov, p, sigma_ratio)
-    norm = entrywise_norm(scale, q)
+    norm = entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
     return BoundReport(
-        scale_matrix=scale,
         scale_norm=norm,
         q=q,
         erank=erank,

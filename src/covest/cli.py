@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .active import ActiveConfig, run_active
-from .bounds import bound_report, calibrate_gamma, effective_rank
+from .bounds import bound_report, calibrate_gamma, effective_rank, error_scale_matrix
 from .data import make_spiked_model
 from .design import design_probabilities, kkt_residual
 from .estimator import estimate_cov
@@ -48,14 +48,19 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _read_vector(spec_str: str) -> np.ndarray:
-    """A vector argument: path to a CSV file, or inline comma-separated numbers."""
-    path = Path(spec_str)
-    if path.exists():
-        return np.atleast_1d(np.loadtxt(path, delimiter=",", dtype=float)).ravel()
+    """A vector argument: inline comma-separated numbers, else a CSV file path.
+
+    A string that parses as numbers is always inline, so a file named like
+    the numbers cannot shadow them.
+    """
     try:
         return np.array([float(tok) for tok in spec_str.split(",")])
     except ValueError:
-        raise ValueError(f"{spec_str!r} is neither an existing file nor an inline vector") from None
+        pass
+    path = Path(spec_str)
+    if not path.is_file():
+        raise ValueError(f"{spec_str!r} is neither an existing file nor an inline vector")
+    return np.atleast_1d(np.loadtxt(path, delimiter=",", dtype=float)).ravel()
 
 
 def _read_matrix(path_str: str) -> np.ndarray:
@@ -142,7 +147,10 @@ def cmd_bound(args) -> int:
     p = _mask_distribution(args, sigma.shape[0])
     report = bound_report(sigma, p, samples=args.samples, eta=args.eta,
                           gamma=args.gamma, q=args.q, sigma_ratio=args.sigma_ratio)
-    _emit(report.to_dict(include_matrix=not args.no_matrix))
+    payload = report.to_dict()
+    if not args.no_matrix:
+        payload["scale_matrix"] = error_scale_matrix(sigma, p, args.sigma_ratio).tolist()
+    _emit(payload)
     return 0
 
 

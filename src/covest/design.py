@@ -18,7 +18,6 @@ from .estimator import CovarianceEstimate
 from .sampling import MaskDistribution
 
 __all__ = [
-    "DesignProblem",
     "DesignSolution",
     "project_box_simplex",
     "kkt_residual",
@@ -27,38 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DesignProblem:
-    """Validated inputs for one design solve.
-
-    target is the vector of per-coordinate standard deviations, m the budget,
-    and floor the smallest admissible probability.
-    """
-
-    target: np.ndarray
-    m: float
-    floor: float = 1e-3
-
-    def __post_init__(self):
-        target = np.asarray(self.target, dtype=float)
-        if target.ndim != 1 or target.size == 0:
-            raise ValueError("target must be a nonempty 1-D vector")
-        if np.any(target < 0):
-            raise ValueError("target entries must be nonnegative")
-        if not np.any(target > 0):
-            raise ValueError("design needs at least one positive target entry")
-        if not 0 <= self.floor <= 1:
-            raise ValueError("floor must lie in [0, 1]")
-        n = target.size
-        if self.m <= 0 or self.m > n * (1 + 1e-12):
-            raise ValueError(f"budget must lie in (0, {n}]")
-        if self.m < n * self.floor - 1e-12:
-            raise ValueError("budget is below the floor times the dimension")
-        object.__setattr__(self, "target", target)
-
-    @property
-    def n(self) -> int:
-        return self.target.size
+def _check_budget(n: int, m: float, floor: float) -> None:
+    """The budget contract: a floor in [0, 1] and a budget in [n * floor, n], above 0."""
+    if not 0 <= floor <= 1:
+        raise ValueError("floor must lie in [0, 1]")
+    if not m > 0:  # also rejects NaN
+        raise ValueError("budget must be positive")
+    if m > n * (1 + 1e-12):
+        raise ValueError(f"budget {m} exceeds dimension {n}")
+    if m < n * floor - 1e-12:
+        raise ValueError(f"budget {m} cannot cover floor {floor} in dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -181,16 +158,21 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     from. When the profile is flat the answer is exactly uniform by symmetry.
     """
     diag_sigma = np.asarray(diag_sigma, dtype=float)
+    if diag_sigma.ndim != 1 or diag_sigma.size == 0:
+        raise ValueError("variance profile must be a nonempty 1-D vector")
     if not np.all(np.isfinite(diag_sigma)):
         raise ValueError("variance profile must be finite (no NaN or inf entries)")
     if np.any(diag_sigma < 0):
         raise ValueError("variance profile must be nonnegative")
-    problem = DesignProblem(target=np.sqrt(diag_sigma), m=float(m), floor=float(eps))
-    s = problem.target
-    n = problem.n
+    if not np.any(diag_sigma > 0):
+        raise ValueError("design needs at least one positive variance")
+    m, eps = float(m), float(eps)
+    n = diag_sigma.size
+    _check_budget(n, m, eps)
+    s = np.sqrt(diag_sigma)
 
     if np.all(s == s[0]):
-        p_uniform = min(problem.m / n, 1.0)
+        p_uniform = min(m / n, 1.0)
         return DesignSolution(
             p=MaskDistribution(np.full(n, p_uniform)),
             rho=p_uniform / s[0],
@@ -200,14 +182,14 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
             objective_history=(0.0,),
         )
 
-    rho = problem.m / s.sum()
+    rho = m / s.sum()
     prev_obj = np.inf
     history = []
     p = None
     converged = False
     iterations = 0
     for iterations in range(1, 501):
-        p = project_box_simplex(rho * s, problem.m, lo=problem.floor, hi=1.0)
+        p = project_box_simplex(rho * s, m, lo=eps, hi=1.0)
         obj = 0.5 * float(np.sum((p - rho * s) ** 2))
         history.append(obj)
         if prev_obj - obj < 1e-12:

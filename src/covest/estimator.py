@@ -17,16 +17,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """A symmetric estimate plus the bookkeeping the batch loop needs.
+    """A symmetric estimate and the number of samples behind it.
 
-    iterations counts how many batches were merged into this estimate. The
-    merge rule weighs by iteration count, which coincides with weighing by
-    sample count exactly when all batches share a size.
+    sample_count is the merge weight: merging averages estimates in
+    proportion to their sample counts.
     """
 
     matrix: np.ndarray
     sample_count: int
-    iterations: int = 1
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -35,16 +33,16 @@ class CovarianceEstimate:
         tol = 1e-12 * max(1.0, float(np.abs(matrix).max()))
         if np.abs(matrix - matrix.T).max() > tol:
             raise ValueError("estimate matrix must be symmetric")
-        if self.sample_count < 0 or self.iterations < 0:
-            raise ValueError("sample_count and iterations must be nonnegative")
+        if self.sample_count < 0:
+            raise ValueError("sample_count must be nonnegative")
         if self.sample_count == 0 and np.any(matrix != 0.0):
             raise ValueError("an estimate from zero samples must be the zero matrix")
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def zero(cls, n: int) -> "CovarianceEstimate":
-        """Empty accumulator: the starting point of the batch loop."""
-        return cls(np.zeros((n, n)), sample_count=0, iterations=0)
+        """Empty accumulator: merging a batch into it returns the batch."""
+        return cls(np.zeros((n, n)), sample_count=0)
 
     @property
     def dim(self) -> int:
@@ -94,26 +92,27 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
         raise ValueError("cannot estimate from an empty sample collection")
     second = observed.T @ observed / count
     matrix = second * _inverse_mask_moment(p.p)
-    return CovarianceEstimate(matrix=matrix, sample_count=count, iterations=1)
+    return CovarianceEstimate(matrix=matrix, sample_count=count)
 
 
 def merge_estimates(prev: CovarianceEstimate, batch: CovarianceEstimate) -> CovarianceEstimate:
-    """Fold one more batch into a running estimate.
+    """Fold one more batch into a running estimate, weighted by sample count.
 
-    The new batch enters with weight 1/(t+1) and the running estimate keeps
-    t/(t+1), where t is the running estimate's iteration count. Merging into a
-    zero-iteration accumulator returns the batch unchanged. The batch argument
-    counts as a single unit regardless of how it was produced.
+    With n_prev and n_b samples behind the two estimates, the batch enters
+    with weight n_b / (n_prev + n_b) and the running estimate keeps the rest,
+    so merging batches of any sizes reproduces the estimate of their union
+    (the streaming update of Chan, Golub & LeVeque, 1979). Each batch is
+    unbiased under its own design and the weights are fixed, so the merge
+    stays unbiased. Merging into the zero accumulator returns the batch
+    unchanged; a batch of zero samples is rejected.
     """
     if prev.dim != batch.dim:
         raise ValueError("cannot merge estimates of different dimensions")
-    t = prev.iterations
-    matrix = batch.matrix / (t + 1) + prev.matrix * (t / (t + 1))
-    return CovarianceEstimate(
-        matrix=matrix,
-        sample_count=prev.sample_count + batch.sample_count,
-        iterations=t + 1,
-    )
+    if batch.sample_count == 0:
+        raise ValueError("cannot merge a batch of zero samples")
+    total = prev.sample_count + batch.sample_count
+    matrix = batch.matrix / (total / batch.sample_count) + prev.matrix * (prev.sample_count / total)
+    return CovarianceEstimate(matrix=matrix, sample_count=total)
 
 
 def relative_frobenius_error(estimate, truth: np.ndarray) -> float:

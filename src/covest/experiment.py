@@ -335,7 +335,7 @@ def export_csv(result: ExperimentResult, path) -> Path:
         "truth_erank": result.truth_erank,
         "final_designs": {f"{arm}@{_fmt(frac)}": [float(x) for x in design]
                           for (arm, frac), design in sorted(result.final_designs.items())},
-        "bounds": {f"{arm}@{_fmt(frac)}": report.to_dict(include_matrix=False)
+        "bounds": {f"{arm}@{_fmt(frac)}": report.to_dict()
                    for (arm, frac), report in sorted(result.bound_reports.items())},
     }
     sidecar = path.with_suffix(".meta.json")

@@ -94,6 +94,8 @@ class MaskedBatch:
             raise ValueError("masks and observed rows must be 2-D with equal shape")
         if not np.all((masks == 0.0) | (masks == 1.0)):
             raise ValueError("mask entries must be 0 or 1")
+        if not np.all(np.isfinite(observed)):
+            raise ValueError("observed rows must be finite (no NaN or inf entries)")
         if np.any(observed[masks == 0.0] != 0.0):
             raise ValueError("observed rows must vanish on unobserved coordinates")
         object.__setattr__(self, "masks", masks)

@@ -134,9 +134,9 @@ def test_bound_report_contents():
     assert rep.scale_norm == pytest.approx(14.0)
     assert rep.erank == pytest.approx(1.25)
     assert rep.bound == pytest.approx(error_bound(14.0, 2, 100, 50.0, gamma=2.0))
+    assert error_scale_matrix(cov, p).tolist() == [[8.0, 8.0], [8.0, 2.0]]
     d = rep.to_dict()
-    assert d["scale_matrix"] == [[8.0, 8.0], [8.0, 2.0]]
-    assert "scale_matrix" not in rep.to_dict(include_matrix=False)
+    assert "scale_matrix" not in d
     assert d["samples"] == 100 and d["eta"] == 50.0
 
 

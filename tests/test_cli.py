@@ -60,6 +60,21 @@ def test_design_n784_profile(capsys, tmp_path):
     assert sum(payload["p"]) == pytest.approx(705.6, abs=1e-9)
 
 
+def test_inline_vector_is_not_shadowed_by_a_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "4,1").write_text("1,1,1\n")
+    code, stdout, stderr = run_cli(capsys, "design", "--diag", "4,1", "--budget", "1")
+    assert code == 0, stderr
+    assert json.loads(stdout)["p"] == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-9)
+
+
+def test_vector_argument_must_be_numbers_or_a_file(capsys, tmp_path):
+    for bad in (str(tmp_path / "missing.csv"), str(tmp_path)):
+        code, stdout, stderr = run_cli(capsys, "design", "--diag", bad, "--budget", "1")
+        assert code == 1 and stdout == ""
+        assert f"{bad!r} is neither an existing file nor an inline vector" in stderr
+
+
 def test_design_infeasible_budget(capsys):
     code, stdout, stderr = run_cli(capsys, "design", "--diag", "4,1", "--budget", "3")
     assert code == 1

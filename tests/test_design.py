@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from covest.bounds import entrywise_norm, error_scale_matrix
 from covest.design import (
-    DesignProblem,
     design_probabilities,
     kkt_residual,
     project_box_simplex,
@@ -155,9 +154,11 @@ def test_design_errors():
     with pytest.raises(ValueError):
         design_probabilities(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
-        DesignProblem(target=np.array([[1.0]]), m=0.5)
+        design_probabilities(np.array([[1.0]]), 0.5)
     with pytest.raises(ValueError):
-        DesignProblem(target=np.array([1.0]), m=0.5, floor=1.5)
+        design_probabilities(np.array([1.0]), 0.5, eps=1.5)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        design_probabilities(np.array([1.0, 2.0]), np.nan)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

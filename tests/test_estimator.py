@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covest.estimator import (
     CovarianceEstimate,
@@ -28,7 +30,6 @@ def test_single_sample_reweighting():
     est = estimate_cov(batch, p)
     assert np.array_equal(est.matrix, np.array([[2.0, 0.0], [0.0, 0.0]]))
     assert est.sample_count == 1
-    assert est.iterations == 1
 
 
 def test_full_observation_is_plain_sample_covariance():
@@ -114,7 +115,6 @@ def test_merge_first_batch_passes_through():
     merged = merge_estimates(CovarianceEstimate.zero(3), batch)
     assert np.array_equal(merged.matrix, batch.matrix)
     assert merged.sample_count == batch.sample_count
-    assert merged.iterations == 1
 
 
 def test_merge_equal_batches_matches_concatenation():
@@ -128,18 +128,46 @@ def test_merge_equal_batches_matches_concatenation():
                            observed=batch_all.observed[10 * k : 10 * (k + 1)])
         running = merge_estimates(running, estimate_cov(part, p))
     assert running.sample_count == 60
-    assert running.iterations == 6
     scale = np.abs(whole.matrix).max()
     assert np.abs(running.matrix - whole.matrix).max() <= 1e-10 * max(1.0, scale)
 
 
-def test_merge_weights_by_iteration_not_samples():
-    a = CovarianceEstimate(np.eye(2) * 3.0, sample_count=30, iterations=1)
-    b = CovarianceEstimate(np.eye(2) * 9.0, sample_count=3, iterations=1)
+def test_merge_weights_by_samples():
+    a = CovarianceEstimate(np.eye(2) * 3.0, sample_count=30)
+    b = CovarianceEstimate(np.eye(2) * 9.0, sample_count=3)
     merged = merge_estimates(a, b)
-    # equal weights despite unequal sample counts
-    assert np.allclose(merged.matrix, np.eye(2) * 6.0)
+    assert np.allclose(merged.matrix, np.eye(2) * (30 * 3.0 + 3 * 9.0) / 33)
     assert merged.sample_count == 33
+
+
+def test_merge_rejects_a_zero_sample_batch():
+    with pytest.raises(ValueError, match="zero samples"):
+        merge_estimates(CovarianceEstimate(np.eye(2), sample_count=4), CovarianceEstimate.zero(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    p=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merge_of_unequal_split_equals_whole_estimate(n, sizes, p, seed):
+    # merging the estimates of any split reproduces the estimate of the whole,
+    # so the sample-weighted merge is exactly as unbiased as estimate_cov
+    dist = MaskDistribution(np.array(p[:n]))
+    rng = child_rng(seed)
+    xs = rng.standard_normal((sum(sizes), n)) + rng.standard_normal(n)
+    batch_all = mask_batch(xs, dist, rng)
+    whole = estimate_cov(batch_all, dist)
+    running = CovarianceEstimate.zero(n)
+    bounds = np.cumsum([0] + sizes)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        part = MaskedBatch(masks=batch_all.masks[lo:hi], observed=batch_all.observed[lo:hi])
+        running = merge_estimates(running, estimate_cov(part, dist))
+    assert running.sample_count == whole.sample_count
+    scale = max(1.0, float(np.abs(whole.matrix).max()))
+    assert np.abs(running.matrix - whole.matrix).max() <= 1e-10 * scale
 
 
 def test_merge_dimension_mismatch():
@@ -149,10 +177,10 @@ def test_merge_dimension_mismatch():
 
 def test_zero_estimate_invariant():
     z = CovarianceEstimate.zero(4)
-    assert z.sample_count == 0 and z.iterations == 0
+    assert z.sample_count == 0
     assert np.all(z.matrix == 0.0)
     with pytest.raises(ValueError):
-        CovarianceEstimate(np.eye(2), sample_count=0, iterations=0)
+        CovarianceEstimate(np.eye(2), sample_count=0)
     with pytest.raises(ValueError):
         CovarianceEstimate(np.array([[1.0, 2.0], [0.0, 1.0]]), sample_count=1)
 

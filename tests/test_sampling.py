@@ -107,6 +107,9 @@ def test_mask_batch_shapes_and_validation():
         mask_batch(xs[:, :2], p, child_rng(2))
     with pytest.raises(ValueError):
         MaskedBatch(masks=np.array([[1.0, 0.0]]), observed=np.array([[1.0, 2.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MaskedBatch(masks=np.array([[1.0, 1.0]]), observed=np.array([[1.0, bad]]))
 
 
 def test_child_rng_streams_are_independent_and_reproducible():
