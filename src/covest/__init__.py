@@ -51,9 +51,7 @@ from .sampling import (
     child_rng,
     derive_seed,
     draw_mask,
-    hadamard_inverse,
     mask_batch,
-    mask_second_moment,
 )
 
 __version__ = "0.1.0"

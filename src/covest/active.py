@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import _check_budget, update_design
+from .design import _check_budget, _design_from_variances
 # estimate_cov, merge_estimates and relative_frobenius_error are what the loop
-# reproduces in place; they stay importable from this module, where
+# computes in place; they stay importable from this module, where
 # perfbench/spans.py instruments them
 from .estimator import (  # noqa: F401
     CovarianceEstimate,
-    _inverse_mask_moment,
+    _check_reweighting,
+    _reweighted_gram,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -41,8 +42,8 @@ class ActiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if not self.budget > 0:  # also rejects NaN
+            raise ValueError(f"budget must be positive, got {self.budget}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
         if self.iterations < 1:
@@ -93,12 +94,13 @@ class ActiveTrace:
 
 def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: bool,
                  record_matrices: bool) -> ActiveTrace:
-    """The batch loop, with one running mean updated in place.
+    """The batch loop, with one running sum S of reweighted Gram matrices.
 
-    Each step performs the floating-point operations of estimate_cov followed
-    by merge_estimates and relative_frobenius_error, in the same order, so the
-    trace is bitwise equal to composing those functions; it only skips their
-    fresh n x n arrays and per-call validation.
+    S / samples is the merged estimate under merge_estimates' sample-count
+    rule, and the redesign reads only its diagonal, so a step costs one matmul
+    and one n x n add (plus a divide, subtract and norm to score a truth). The
+    trace equals composing estimate_cov, merge_estimates and
+    relative_frobenius_error to rounding, without their n x n temporaries.
     """
     n = p0.n
     if truth is not None:
@@ -109,9 +111,9 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
         if truth_norm == 0.0:
             raise ValueError("reference matrix must be nonzero")
     p = p0
-    weights = _inverse_mask_moment(p.p)
-    mean = np.zeros((n, n))
-    work = np.empty((n, n))  # the batch's estimate, then the error of the mean
+    _check_reweighting(p.p)
+    gram_sum = np.zeros((n, n))  # the running sum S
+    work = np.empty((n, n))  # the batch's Gram matrix, then the error of the mean
     samples = 0
     trace = ActiveTrace()
     for t in range(cfg.iterations):
@@ -127,23 +129,16 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
         if not np.isfinite(xs).all():
             raise ValueError("oracle returned non-finite values (NaN or inf)")
         masks = draw_mask(p, rng, size=count)
-        observed = masks * xs
-        # estimate_cov: (obs^T obs / count) * weights; obs^T obs is exactly symmetric
-        np.matmul(observed.T, observed, out=work)
-        work /= count
-        work *= weights
-        batch_estimate = CovarianceEstimate(work.copy(), count) if record_matrices else None
-        # merge_estimates: batch / (total / count) + mean * (samples / total)
-        total = samples + count
-        mean *= samples / total
-        work /= total / count
-        mean += work
-        samples = total
-        merged = CovarianceEstimate(mean.copy(), samples) if record_matrices else None
+        observed_count = int(masks.sum())
+        _reweighted_gram(np.multiply(masks, xs, out=masks), p.p, out=work)
+        gram_sum += work
+        samples += count
+        batch_estimate = CovarianceEstimate(work / count, count) if record_matrices else None
+        merged = CovarianceEstimate(gram_sum / samples, samples) if record_matrices else None
         rel = None
         if truth is not None:
-            # relative_frobenius_error
-            np.subtract(mean, truth, out=work)
+            np.divide(gram_sum, samples, out=work)
+            work -= truth
             rel = float(np.linalg.norm(work) / truth_norm)
         trace.records.append(
             IterationRecord(
@@ -152,17 +147,15 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
                 batch_estimate=batch_estimate,
                 merged=merged,
                 rel_error=rel,
-                observed_count=int(masks.sum()),
+                observed_count=observed_count,
                 sample_count=samples,
             )
         )
         if adapt:
-            p_next = update_design(mean, cfg.budget, cfg.eps).p
-            if not np.array_equal(p_next.p, p.p):
-                _inverse_mask_moment(p_next.p, out=weights)
-            p = p_next
+            p = _design_from_variances(np.diagonal(gram_sum) / samples, cfg.budget, cfg.eps).p
+            _check_reweighting(p.p)
     trace.final_design = p.p
-    trace.final_estimate = CovarianceEstimate(mean, samples)
+    trace.final_estimate = CovarianceEstimate(gram_sum / samples, samples)
     return trace
 
 

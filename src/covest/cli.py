@@ -71,9 +71,17 @@ def _write_matrix(path_str: str, matrix: np.ndarray) -> None:
     np.savetxt(path_str, np.atleast_2d(matrix), delimiter=",", fmt="%.12g")
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type for a float flag that must be finite; argparse names the flag."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {raw!r}")
+    return value
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # NaN and inf are not JSON: refuse them before anything reaches stdout
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _mask_distribution(args, n: int) -> MaskDistribution:
@@ -237,10 +245,10 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--p", help="observation probabilities: CSV file or inline vector")
     b.add_argument("--budget-frac", type=float, help="uniform probabilities at this fraction")
     b.add_argument("--samples", required=True, type=int)
-    b.add_argument("--eta", type=float, default=100.0)
-    b.add_argument("--gamma", type=float, default=1.0)
-    b.add_argument("--q", type=float, default=2.0)
-    b.add_argument("--sigma-ratio", type=float, default=1.0)
+    b.add_argument("--eta", type=_finite_float, default=100.0)
+    b.add_argument("--gamma", type=_finite_float, default=1.0)
+    b.add_argument("--q", type=_finite_float, default=2.0)
+    b.add_argument("--sigma-ratio", type=_finite_float, default=1.0)
     b.add_argument("--no-matrix", action="store_true", help="omit the scale matrix from the report")
     b.set_defaults(func=cmd_bound)
 
@@ -250,10 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", help="observation probabilities: CSV file or inline vector")
     g.add_argument("--budget-frac", type=float)
     g.add_argument("--samples", required=True, type=int)
-    g.add_argument("--eta", type=float, default=100.0)
+    g.add_argument("--eta", type=_finite_float, default=100.0)
     g.add_argument("--trials", type=int, default=1000)
-    g.add_argument("--q", type=float, default=2.0)
-    g.add_argument("--sigma-ratio", type=float, default=1.0)
+    g.add_argument("--q", type=_finite_float, default=2.0)
+    g.add_argument("--sigma-ratio", type=_finite_float, default=1.0)
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_calibrate_gamma)
 

@@ -89,6 +89,10 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("v must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v must be finite (no NaN or inf entries)")
+    if not np.isfinite(m):
+        raise ValueError(f"budget m must be finite, got {m}")
     if lo > hi:
         raise ValueError("lo must not exceed hi")
     n = v.size
@@ -222,5 +226,9 @@ def update_design(estimate, m: float, eps: float = 1e-3) -> DesignSolution:
     """
     if isinstance(estimate, CovarianceEstimate):
         estimate = estimate.matrix
-    diag = np.clip(np.diag(np.asarray(estimate, dtype=float)), 0.0, None)
-    return design_probabilities(diag, m, eps)
+    return _design_from_variances(np.diag(np.asarray(estimate, dtype=float)), m, eps)
+
+
+def _design_from_variances(variances: np.ndarray, m: float, eps: float) -> DesignSolution:
+    """update_design on the estimated variances alone, an O(n) input."""
+    return design_probabilities(np.clip(variances, 0.0, None), m, eps)

@@ -57,41 +57,46 @@ def _stack_observed(samples, n: int) -> np.ndarray:
     return samples.observed
 
 
-def _inverse_mask_moment(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Reweighting matrix: 1/(p_i p_j) off the diagonal and 1/p_i on it.
+def _check_reweighting(p: np.ndarray) -> None:
+    """Reject p whose largest reweighting factor overflows, in O(n).
 
-    The same floating-point operations as
-    ``hadamard_inverse(mask_second_moment(p))``, written into ``out`` when it
-    is given. Entries of p are positive, so a product p_i p_j that underflows
-    to zero is the only way to a nonpositive entry; checking the two smallest
-    entries finds it in O(n).
+    That factor is 1/(p_i p_j) for the two smallest entries, or 1/p_0 when n = 1.
     """
-    if p.size > 1:
-        two_smallest = np.partition(p, 1)[:2]
-        if two_smallest[0] * two_smallest[1] <= 0.0:
-            raise ValueError("entrywise inverse requires strictly positive entries")
-    # einsum forms the same products as np.outer, about twice as fast
-    weights = np.einsum("i,j->ij", p, p, out=out)
-    np.fill_diagonal(weights, p)
-    return np.divide(1.0, weights, out=weights)
+    smallest = np.partition(p, 1)[:2] if p.size > 1 else p
+    if float(np.prod(smallest)) * np.finfo(float).max < 1.0:
+        raise ValueError("entrywise inverse requires strictly positive entries: 1/(p_i p_j) overflows")
+
+
+def _reweighted_gram(observed: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """obs^T obs times the inverse mask second moment, without an n x n weight matrix.
+
+    With a = obs/p (observed is scaled in place), a^T a holds obs_i obs_j /
+    (p_i p_j); its diagonal times p holds obs_i^2 / p_i. a^T a is exactly symmetric.
+    """
+    observed /= p
+    gram = np.matmul(observed.T, observed, out=out)
+    gram[np.diag_indices_from(gram)] *= p
+    return gram
 
 
 def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     """Unbiased covariance estimate from masked samples.
 
-    Averages the outer products of the observed vectors, then multiplies each
-    entry by the reciprocal of the mask second moment. That reweighting exactly
-    cancels the expected attenuation from masking, so the estimate is unbiased
-    for the true covariance no matter how few coordinates each sample reveals.
-    The price is that the output is symmetric but need not be positive
-    semidefinite.
+    Averages the outer products of the observed vectors, reweighted entrywise
+    by the reciprocal of the mask second moment: 1/(p_i p_j) off the diagonal,
+    1/p_i on it, computed as (obs/p)^T (obs/p) with its diagonal times p. That
+    exactly cancels the expected attenuation from masking, so the estimate is
+    unbiased for the true covariance no matter how few coordinates each sample
+    reveals. The price is that the output is symmetric but need not be
+    positive semidefinite.
     """
     observed = _stack_observed(samples, p.n)
     count = observed.shape[0]
     if count == 0:
         raise ValueError("cannot estimate from an empty sample collection")
-    second = observed.T @ observed / count
-    matrix = second * _inverse_mask_moment(p.p)
+    _check_reweighting(p.p)
+    matrix = _reweighted_gram(observed.copy(), p.p)
+    matrix /= count
     return CovarianceEstimate(matrix=matrix, sample_count=count)
 
 

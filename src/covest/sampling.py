@@ -2,9 +2,9 @@
 
 A sample x in R^n is seen through an independent binary mask delta, one
 Bernoulli(p_i) coin per coordinate, yielding y = delta * x entrywise. The
-second-moment matrix of the mask (observation probabilities on the diagonal,
-pairwise products off it) is what downstream estimation divides out to undo
-the masking.
+mask's second moment is p_i on the diagonal and p_i p_j off it; estimation
+divides it out to undo the masking, by scaling each observed coordinate by
+1/p_i before the Gram product and multiplying the Gram diagonal back by p_i.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ __all__ = [
     "MaskedBatch",
     "child_rng",
     "derive_seed",
-    "mask_second_moment",
-    "hadamard_inverse",
     "draw_mask",
     "mask_batch",
 ]
@@ -112,26 +110,6 @@ class MaskedBatch:
     def observed_count(self) -> int:
         """Total number of coordinates revealed across the batch."""
         return int(self.masks.sum())
-
-
-def mask_second_moment(p: MaskDistribution) -> np.ndarray:
-    """Second-moment matrix of the mask.
-
-    Entry (i, i) is p_i (a coordinate co-occurs with itself whenever it is
-    observed); entry (i, j) for i != j is p_i * p_j by independence. All
-    entries are strictly positive because the probabilities are.
-    """
-    moment = np.outer(p.p, p.p)
-    np.fill_diagonal(moment, p.p)
-    return moment
-
-
-def hadamard_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Entrywise reciprocal. Rejects any nonpositive entry."""
-    matrix = np.asarray(matrix, dtype=float)
-    if np.any(matrix <= 0.0):
-        raise ValueError("entrywise inverse requires strictly positive entries")
-    return 1.0 / matrix
 
 
 def draw_mask(p: MaskDistribution, rng: np.random.Generator, size: int | None = None) -> np.ndarray:

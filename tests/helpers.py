@@ -30,3 +30,16 @@ def grid_project(v, m, lo=0.0, hi=1.0, step=1e-3):
     candidates = np.clip(v[None, :] - lam_grid[:, None], lo, hi)
     best = np.argmin(np.abs(candidates.sum(axis=1) - m))
     return candidates[best]
+
+
+def mask_second_moment(p):
+    """Reference second moment of a Bernoulli(p) mask: p_i on the diagonal, p_i p_j off it."""
+    moment = np.outer(p.p, p.p)
+    np.fill_diagonal(moment, p.p)
+    return moment
+
+
+def reweighted_estimate(observed, p):
+    """Reference estimator: obs^T obs / count divided entrywise by the mask second moment."""
+    observed = np.asarray(observed, dtype=float)
+    return observed.T @ observed / observed.shape[0] / mask_second_moment(p)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from covest import __version__
-from covest.cli import main
+from covest.cli import _emit, main
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +132,29 @@ def test_bound_report(capsys, tmp_path):
     )
     assert code == 0
     assert "scale_matrix" not in json.loads(stdout)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("bound", "--eta"), ("bound", "--gamma"), ("bound", "--q"), ("bound", "--sigma-ratio"),
+    ("calibrate-gamma", "--eta"), ("calibrate-gamma", "--q"), ("calibrate-gamma", "--sigma-ratio"),
+])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_float_flags_are_rejected(capsys, tmp_path, command, flag, bad):
+    # "bound --eta nan" used to print "bound": NaN, which is not JSON, and exit 0
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("4,0\n0,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--sigma", str(sigma), "--p", "0.5,0.5", "--samples", "10", f"{flag}={bad}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be finite" in captured.err
+
+
+def test_json_output_refuses_nan(capsys):
+    with pytest.raises(ValueError, match="JSON"):
+        _emit({"bound": float("nan")})
+    assert capsys.readouterr().out == ""
 
 
 def test_bound_needs_probabilities(capsys, tmp_path):

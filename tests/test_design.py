@@ -54,6 +54,15 @@ def test_projection_infeasible_budget():
         project_box_simplex(np.zeros(3), 1.0, lo=0.6, hi=0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite_input(bad):
+    # NaN passed every range check and came back as [nan, nan]
+    with pytest.raises(ValueError, match="v must be finite"):
+        project_box_simplex(np.array([bad, 1.0]), 1.0)
+    with pytest.raises(ValueError, match="budget m must be finite"):
+        project_box_simplex(np.array([0.5, 1.0]), bad)
+
+
 def test_projection_against_grid_oracle():
     # brute-force scan over the dual scalar, independent of the implementation
     rng = np.random.default_rng(5)

@@ -14,12 +14,10 @@ from covest.sampling import (
     MaskDistribution,
     MaskedBatch,
     child_rng,
-    hadamard_inverse,
     mask_batch,
-    mask_second_moment,
 )
 
-from helpers import rand_psd
+from helpers import mask_second_moment, rand_psd, reweighted_estimate
 
 
 def test_single_sample_reweighting():
@@ -70,7 +68,7 @@ def test_single_run_unbiased_within_mc_error():
     xs = rng.standard_normal((total, n)) @ factor.T
     batch = mask_batch(xs, p, rng)
     est = estimate_cov(batch, p)
-    weights = hadamard_inverse(mask_second_moment(p))
+    weights = 1.0 / mask_second_moment(p)
     terms = batch.observed[:, :, None] * batch.observed[:, None, :] * weights
     se = terms.std(axis=0, ddof=1) / np.sqrt(total)
     assert np.all(np.abs(est.matrix - cov) <= 5 * se)
@@ -97,14 +95,38 @@ def test_estimate_rejects_underflowing_weights():
     batch = mask_batch(np.ones((2, 3)), p, child_rng(0))
     with pytest.raises(ValueError, match="strictly positive"):
         estimate_cov(batch, p)
+    # a subnormal product, or a lone subnormal p_0, leaves an infinite weight
+    for tiny in ([1e-160, 1e-160, 0.5], [1e-310]):
+        p = MaskDistribution(np.array(tiny))
+        batch = MaskedBatch(masks=np.ones((1, p.n)), observed=np.ones((1, p.n)))
+        with pytest.raises(ValueError, match="strictly positive"):
+            estimate_cov(batch, p)
 
 
-def test_estimate_weights_match_hadamard_inverse():
+def test_estimate_matches_reference_reweighting():
+    # the fold (obs/p)^T (obs/p), diagonal times p, rounds differently from
+    # obs^T obs / count divided by the mask second moment: a few ulp per term
     p = MaskDistribution(child_rng(4).uniform(0.01, 1.0, size=30))
     xs = child_rng(5).standard_normal((7, 30))
     batch = mask_batch(xs, p, child_rng(6))
-    expected = batch.observed.T @ batch.observed / 7 * hadamard_inverse(mask_second_moment(p))
-    assert np.array_equal(estimate_cov(batch, p).matrix, expected)
+    expected = reweighted_estimate(batch.observed, p)
+    scale = np.abs(expected).max()
+    assert np.abs(estimate_cov(batch, p).matrix - expected).max() <= 4 * 7 * np.finfo(float).eps * scale
+
+
+def test_reweighting_inverts_second_moment():
+    # every coordinate observed with value 1: the estimate is the reweighting
+    # itself, the entrywise inverse of the mask second moment
+    half = MaskDistribution(np.array([0.5, 0.5]))
+    ones = MaskedBatch(masks=np.ones((1, 2)), observed=np.ones((1, 2)))
+    assert np.array_equal(estimate_cov(ones, half).matrix, np.array([[2.0, 4.0], [4.0, 2.0]]))
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        n = int(rng.integers(1, 9))
+        p = MaskDistribution(rng.uniform(0.01, 1.0, n))
+        ones = MaskedBatch(masks=np.ones((1, n)), observed=np.ones((1, n)))
+        weights = estimate_cov(ones, p).matrix
+        assert np.abs(weights * mask_second_moment(p) - 1.0).max() <= 1e-12
 
 
 def test_merge_first_batch_passes_through():

@@ -7,10 +7,10 @@ from covest.sampling import (
     child_rng,
     derive_seed,
     draw_mask,
-    hadamard_inverse,
     mask_batch,
-    mask_second_moment,
 )
+
+from helpers import mask_second_moment
 
 
 def test_mask_distribution_validates_range():
@@ -47,24 +47,6 @@ def test_second_moment_values():
     assert np.array_equal(mask_second_moment(p), expected)
     ones = MaskDistribution(np.ones(3))
     assert np.array_equal(mask_second_moment(ones), np.ones((3, 3)))
-
-
-def test_second_moment_hadamard_inverse_gives_ones():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = rng.integers(1, 9)
-        p = MaskDistribution(rng.uniform(0.01, 1.0, n))
-        moment = mask_second_moment(p)
-        assert np.abs(moment * hadamard_inverse(moment) - 1.0).max() <= 1e-12
-
-
-def test_hadamard_inverse_examples_and_errors():
-    out = hadamard_inverse(np.array([[4.0, 2.0], [2.0, 4.0]]))
-    assert np.array_equal(out, np.array([[0.25, 0.5], [0.5, 0.25]]))
-    with pytest.raises(ValueError):
-        hadamard_inverse(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        hadamard_inverse(np.array([-1.0, 2.0]))
 
 
 def test_draw_mask_full_budget_and_determinism():
