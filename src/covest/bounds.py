@@ -92,14 +92,14 @@ def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: fl
     """
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    if eta <= 1:
-        raise ValueError("eta must exceed 1")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not eta > 1:  # also rejects NaN
+        raise ValueError(f"eta must exceed 1, got {eta}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    if scale_norm < 0:
-        raise ValueError("scale_norm must be nonnegative")
+    if not scale_norm >= 0:
+        raise ValueError(f"scale_norm must be nonnegative, got {scale_norm}")
     rate = gamma * (2.0 * math.log(dim) + math.log(eta)) / samples
     return float(scale_norm * max(math.sqrt(rate), rate))
 
@@ -212,8 +212,8 @@ def calibrate_gamma(
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    if eta <= 1:
-        raise ValueError("eta must exceed 1")
+    if not eta > 1:  # also rejects NaN
+        raise ValueError(f"eta must exceed 1, got {eta}")
     cov = check_square(cov, "covariance")
     scale_norm = entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples

@@ -37,8 +37,8 @@ class SyntheticModel:
 
     def __init__(self, base_cov: np.ndarray, theta: float = 0.0):
         base_cov = check_square(base_cov, "base covariance")
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if not 0 <= theta < np.inf:  # also rejects NaN
+            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
         if not np.all(np.isfinite(base_cov)):
             raise ValueError("base covariance must be finite")
         if np.abs(base_cov - base_cov.T).max() > 1e-12 * max(1.0, float(np.abs(base_cov).max())):
@@ -119,8 +119,8 @@ class EmpiricalSource:
         records = np.asarray(records, dtype=float)
         if records.ndim != 2 or records.shape[0] < 2:
             raise ValueError("records must be a 2-D array with at least two rows")
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if not 0 <= theta < np.inf:  # also rejects NaN
+            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
         centered = records - records.mean(axis=0)
         centered.flags.writeable = False
         self.records = centered

@@ -5,8 +5,9 @@ least squares) to a common multiple of the per-coordinate standard
 deviations, subject to the budget (the probabilities sum to m) and box
 constraints (a strictly positive floor, a cap at 1). A positive floor keeps
 every coordinate observable, which the unbiased estimator needs. The solver
-alternates an exact one-dimensional scale update with a Euclidean projection
-onto the budgeted box.
+takes exact steps on the scale: it projects onto the budgeted box, reads
+which entries sit at a bound, and solves the scale in closed form on that
+pattern until the pattern no longer changes.
 """
 from __future__ import annotations
 
@@ -42,9 +43,11 @@ def _check_budget(n: int, m: float, floor: float) -> None:
 class DesignSolution:
     """Solver output: the design, the fitted scale, and convergence facts.
 
-    p is the exact projection of rho * target onto the budgeted box, so
-    kkt_residual(p, rho * target, m, floor) certifies it; converged says the
-    scale has settled as well.
+    Two certificates hold to rounding: p is the exact projection of
+    rho * target onto the budgeted box, so kkt_residual(p, rho * target, m,
+    floor) is near 0, and rho is the best scale for p, rho = p.target /
+    target.target. iterations counts the projections, one per entry of
+    objective_history. The solve is exact, so converged is always True.
     """
 
     p: MaskDistribution
@@ -72,6 +75,29 @@ def _solve_on_pattern(v: np.ndarray, m: float, lo: float, hi: float, lam: float)
     pinned = hi * np.count_nonzero(at_hi) + lo * np.count_nonzero(at_lo)
     p = np.clip(v - (float(v[free].sum()) + pinned - m) / k, lo, hi)
     return p, bool(np.array_equal(p == hi, at_hi) and np.array_equal(p == lo, at_lo))
+
+
+def _rho_on_pattern(s: np.ndarray, p: np.ndarray, m: float, eps: float) -> float:
+    """The rho with rho = p.s / s.s when p keeps the pinned/free pattern it has now.
+
+    With H the entries at 1, L those at eps and the k free ones F sharing one
+    shift that meets the budget, both conditions are linear in rho:
+    rho = (sum_H s + eps sum_L s - sigma_F (c - m) / k) / (s_H.s_H + s_L.s_L + sigma_F^2 / k),
+    where sigma_F = sum_F s and c = |H| + eps |L|.
+    """
+    at_hi = p == 1.0
+    at_lo = (p == eps) & ~at_hi
+    free = ~(at_hi | at_lo)
+    s_hi, s_lo = s[at_hi], s[at_lo]
+    num = float(s_hi.sum()) + eps * float(s_lo.sum())
+    den = float(s_hi @ s_hi) + float(s_lo @ s_lo)
+    k = int(np.count_nonzero(free))
+    if k:
+        sigma = float(s[free].sum())
+        c = int(np.count_nonzero(at_hi)) + eps * int(np.count_nonzero(at_lo))
+        num -= sigma * (c - m) / k
+        den += sigma * sigma / k
+    return num / den
 
 
 def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
@@ -113,10 +139,15 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     order = np.argsort(breaks, kind="stable")
     breaks = breaks[order]
     free_count = np.cumsum(np.where(order < n, 1, -1))
-    sums = n * hi - np.concatenate([[0.0], np.cumsum(free_count[:-1] * np.diff(breaks))])
-    # sums falls from n*hi > m; rounding can leave its end above an m close
-    # to n*lo, in which case m lies on the last segment
-    j = min(int(np.searchsorted(-sums, -m)), 2 * n - 1)
+    drops = free_count[:-1] * np.diff(breaks)
+    # the sum at each breakpoint falls from n*hi to n*lo, and its rounding
+    # grows with the distance from the end it is accumulated from; taken from
+    # the end nearer m, that rounding stays below m's distance from the end
+    if m - n * lo < n * hi - m:
+        sums = n * lo + np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
+    else:
+        sums = n * hi - np.concatenate([[0.0], np.cumsum(drops)])
+    j = int(np.searchsorted(-sums, -m))
     p, _ = _solve_on_pattern(v, m, lo, hi, 0.5 * (breaks[j - 1] + breaks[j]))
     return p
 
@@ -134,6 +165,9 @@ def kkt_residual(p: np.ndarray, v: np.ndarray, m: float, lo: float = 0.0, hi: fl
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
+    for name, x in (("p", p), ("v", v), ("m", m)):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite (no NaN or inf entries)")
     budget_dev = abs(float(p.sum()) - m)
     devs = []
     for atol in (0.0, 1e-12 * max(1.0, hi - lo)):
@@ -155,11 +189,17 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     """Fit observation probabilities to a variance profile under a budget.
 
     Minimizes 0.5 * ||p - rho * target||^2 over the budgeted box jointly in
-    (p, rho), where target is sqrt(diag_sigma). Both updates are exact
-    partial minimizers, so the objective never increases. Each iteration
-    projects, records the objective and stops once it falls by less than
-    1e-12, before rescaling, so the returned rho is the one p was projected
-    from. When the profile is flat the answer is exactly uniform by symmetry.
+    (p, rho), where target is sqrt(diag_sigma); the minimizer is unique. It
+    is p = P(rho * target), the projection onto the box, at the root rho of
+    g(rho) = rho * target.target - target.P(rho * target), which is
+    nondecreasing and piecewise linear. Each step projects, records the
+    objective and solves rho in closed form on the pattern of the result (the
+    root of g's piece there); the solve ends when that gives back the rho it
+    projected from. A step that would leave the sign bracket of g takes the
+    bracket's chord instead, and a bracket with no float strictly inside ends
+    the solve at rounding level. So there is no iteration cap and no
+    tolerance, and both certificates of DesignSolution hold. When the profile
+    is flat the answer is exactly uniform by symmetry, with no projection.
     """
     diag_sigma = np.asarray(diag_sigma, dtype=float)
     if diag_sigma.ndim != 1 or diag_sigma.size == 0:
@@ -183,24 +223,32 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
             objective=0.0,
             iterations=0,
             converged=True,
-            objective_history=(0.0,),
         )
 
-    rho = m / s.sum()
-    prev_obj = np.inf
+    # g(rho) = rho s.s - s.P(rho s) is nondecreasing and piecewise linear, with
+    # g(0) = -(m/n) sum(s) since P(0) is uniform; its root is the optimal rho
+    s2 = float(s @ s)
+    lo, g_lo, hi, g_hi = 0.0, -m / n * float(s.sum()), np.inf, np.inf
+    rho = m / float(s.sum())  # the root when every entry is free
     history = []
-    p = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, 501):
+    while True:
         p = project_box_simplex(rho * s, m, lo=eps, hi=1.0)
-        obj = 0.5 * float(np.sum((p - rho * s) ** 2))
-        history.append(obj)
-        if prev_obj - obj < 1e-12:
-            converged = True
+        history.append(0.5 * float(np.sum((p - rho * s) ** 2)))
+        g = rho * s2 - float(s @ p)
+        if g < 0:
+            lo, g_lo = rho, g
+        else:
+            hi, g_hi = rho, g
+        step = _rho_on_pattern(s, p, m, eps)
+        if step == rho:  # p keeps the pattern its rho was solved on
             break
-        prev_obj = obj
-        rho = float(p @ s / (s @ s))
+        if not lo < step < hi:
+            # the chord of the bracket; NaN, and so the end, while hi is inf,
+            # since a step from g < 0 only falls short of rho by rounding
+            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+            if not lo < step < hi:  # no float left between the bracket ends
+                break
+        rho = step
 
     if np.any(p <= 0.0):
         raise ValueError(
@@ -211,8 +259,8 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
         p=MaskDistribution(p),
         rho=rho,
         objective=history[-1],
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history),
+        converged=True,
         objective_history=tuple(history),
     )
 

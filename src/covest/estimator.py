@@ -30,8 +30,12 @@ class CovarianceEstimate:
         matrix = np.asarray(self.matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("estimate matrix must be square")
-        tol = 1e-12 * max(1.0, float(np.abs(matrix).max()))
-        if np.abs(matrix - matrix.T).max() > tol:
+        tol = 1e-12 * max(1.0, float(matrix.max()), -float(matrix.min()))
+        # the one n x n temporary; matrix - matrix.T would add a 64 KB ufunc
+        # buffer for the transposed operand
+        asym = matrix.T.copy()
+        asym -= matrix
+        if max(float(asym.max()), -float(asym.min())) > tol:
             raise ValueError("estimate matrix must be symmetric")
         if self.sample_count < 0:
             raise ValueError("sample_count must be nonnegative")

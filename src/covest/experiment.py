@@ -120,12 +120,15 @@ class ExperimentSpec:
         for frac in self.budget_fracs:
             if not self.eps <= frac <= 1.0:
                 raise ValueError(f"budget fraction {frac} must lie in [eps, 1]")
-        if self.q < 1:
-            raise ValueError("q must be at least 1")
-        if self.eta <= 1:
-            raise ValueError("eta must exceed 1")
-        if self.gamma <= 0 or self.sigma_ratio <= 0:
-            raise ValueError("gamma and sigma_ratio must be positive")
+        # written so that NaN fails each check
+        if not self.q >= 1:
+            raise ValueError(f"q must be at least 1, got {self.q}")
+        if not self.eta > 1:
+            raise ValueError(f"eta must exceed 1, got {self.eta}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not self.sigma_ratio > 0:
+            raise ValueError(f"sigma_ratio must be positive, got {self.sigma_ratio}")
 
     @property
     def total_samples(self) -> int:

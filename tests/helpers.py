@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 
+from covest.design import project_box_simplex
+
 
 def rand_psd(rng, n, scale=1.0):
     """Random dense PSD matrix with eigenvalues of order ``scale``."""
@@ -43,3 +45,25 @@ def reweighted_estimate(observed, p):
     """Reference estimator: obs^T obs / count divided entrywise by the mask second moment."""
     observed = np.asarray(observed, dtype=float)
     return observed.T @ observed / observed.shape[0] / mask_second_moment(p)
+
+
+def alternating_design(diag_sigma, m, eps=1e-3):
+    """Reference joint design by alternation, the solver design_probabilities replaced.
+
+    Alternates p <- P(rho s) and rho <- p.s / s.s from rho = m / sum(s), for
+    at most 500 rounds, and stops once the objective falls by less than 1e-12.
+    Returns (p, rho, objective history).
+    """
+    s = np.sqrt(np.asarray(diag_sigma, dtype=float))
+    rho = m / s.sum()
+    prev_obj = np.inf
+    history = []
+    for _ in range(500):
+        p = project_box_simplex(rho * s, m, lo=eps, hi=1.0)
+        obj = 0.5 * float(np.sum((p - rho * s) ** 2))
+        history.append(obj)
+        if prev_obj - obj < 1e-12:
+            break
+        prev_obj = obj
+        rho = float(p @ s / (s @ s))
+    return p, rho, history

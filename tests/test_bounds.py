@@ -99,6 +99,13 @@ def test_error_bound_errors():
         error_bound(1.0, 0, 5, 100.0)
     with pytest.raises(ValueError):
         error_bound(-1.0, 10, 5, 100.0)
+    # NaN passed each of these checks and came back as a NaN bound
+    with pytest.raises(ValueError, match="eta"):
+        error_bound(1.0, 10, 5, np.nan)
+    with pytest.raises(ValueError, match="gamma"):
+        error_bound(1.0, 10, 5, 100.0, gamma=np.nan)
+    with pytest.raises(ValueError, match="scale_norm"):
+        error_bound(np.nan, 10, 5, 100.0)
 
 
 def test_scale_norm_bound_example():
@@ -156,6 +163,8 @@ def test_calibrate_gamma_errors():
         calibrate_gamma(np.eye(2), p, samples=10, eta=10.0, trials=0)
     with pytest.raises(ValueError):
         calibrate_gamma(np.eye(2), p, samples=10, eta=1.0)
+    with pytest.raises(ValueError, match="eta"):  # was "cannot convert float NaN to integer"
+        calibrate_gamma(np.eye(2), p, samples=10, eta=np.nan)
 
 
 def test_calibrated_bound_covers_fresh_trials():

@@ -53,6 +53,8 @@ def test_spiked_model_errors():
         make_spiked_model(5, 6, 10.0)
     with pytest.raises(ValueError):
         make_spiked_model(5, 1, 0.5)
+    with pytest.raises(ValueError, match="theta"):  # built a NaN sigma
+        make_spiked_model(5, 1, 10.0, theta=np.nan)
 
 
 def test_synthetic_model_errors():
@@ -62,6 +64,9 @@ def test_synthetic_model_errors():
         SyntheticModel(np.eye(2), theta=-0.1)
     with pytest.raises(ValueError):
         SyntheticModel(np.zeros((2, 2)))
+    for theta in (np.nan, np.inf):  # each built a non-finite sigma
+        with pytest.raises(ValueError, match="theta"):
+            SyntheticModel(np.eye(2), theta=theta)
 
 
 def test_factor_reproduces_sigma():
@@ -180,6 +185,9 @@ def test_empirical_source_errors():
         EmpiricalSource(np.ones((4, 3)))  # identical rows: zero covariance
     with pytest.raises(ValueError):
         EmpiricalSource(np.arange(6.0).reshape(3, 2), theta=-1.0)
+    for theta in (np.nan, np.inf):  # each built a non-finite sigma
+        with pytest.raises(ValueError, match="theta"):
+            EmpiricalSource(np.arange(6.0).reshape(3, 2), theta=theta)
 
 
 def test_load_idx_round_trip(tmp_path):

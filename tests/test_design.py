@@ -13,7 +13,7 @@ from covest.design import (
 from covest.estimator import CovarianceEstimate
 from covest.sampling import MaskDistribution
 
-from helpers import grid_project
+from helpers import alternating_design, grid_project
 
 
 def test_projection_example():
@@ -61,6 +61,25 @@ def test_projection_rejects_non_finite_input(bad):
         project_box_simplex(np.array([bad, 1.0]), 1.0)
     with pytest.raises(ValueError, match="budget m must be finite"):
         project_box_simplex(np.array([0.5, 1.0]), bad)
+
+
+def test_projection_of_a_tiny_budget_is_exact():
+    # the breakpoint sums were accumulated down from n*hi = 2, whose rounding
+    # swamped m = 4e-16; the result [1e-16, 4e-16] missed the budget by 25%
+    p = project_box_simplex(np.array([0.0, 3e-16]), 4e-16)
+    assert np.allclose(p, [5e-17, 3.5e-16], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kkt_residual_rejects_non_finite_input(bad):
+    # each of these returned NaN
+    ok = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="^p must be finite"):
+        kkt_residual(np.array([bad, 0.5]), ok, 1.0)
+    with pytest.raises(ValueError, match="^v must be finite"):
+        kkt_residual(ok, np.array([bad, 0.5]), 1.0)
+    with pytest.raises(ValueError, match="^m must be finite"):
+        kkt_residual(ok, ok, bad)
 
 
 def test_projection_against_grid_oracle():
@@ -246,7 +265,7 @@ def test_design_property(n, seed, spikes, zeros, where):
     assert abs(sol.p.p.sum() - m) <= 1e-9 * m
     assert np.all(sol.p.p >= eps) and np.all(sol.p.p <= 1.0)
     hist = np.array(sol.objective_history)
-    assert np.all(np.diff(hist) <= 1e-12 * max(1.0, hist[0]))
+    assert np.all(np.diff(hist) <= 1e-12 * max([1.0, *hist[:1]]))  # a flat profile has no history
 
 
 def test_design_n784_regression():
@@ -255,3 +274,76 @@ def test_design_n784_regression():
     sol = design_probabilities(np.random.default_rng(0).uniform(0, 10, 784) ** 2, 0.9 * 784)
     assert sol.converged
     assert abs(sol.p.p.sum() - 705.6) <= 1e-9 * 705.6
+
+
+def _certificates(sol, diag, m, eps):
+    """The projection KKT residual and |rho - p.s/s.s| * ||s||, over max(1, m)."""
+    s = np.sqrt(diag)
+    p = sol.p.p
+    scale = max(1.0, m)
+    kkt = kkt_residual(p, sol.rho * s, m, eps)
+    fit = abs(sol.rho - p @ s / (s @ s)) * np.linalg.norm(s)
+    return kkt / scale, fit / scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 784),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from([0.0, 1e-3, 0.05]),
+    shape=st.sampled_from(["lognormal", "spiked", "zeros"]),
+    where=st.one_of(st.sampled_from([0.0, 1e-15, 1e-9, 1.0 - 1e-9, 1.0 - 1e-15, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_design_exact_solve_property(n, seed, eps, shape, where):
+    rng = np.random.default_rng(seed)
+    if shape == "lognormal":
+        diag = rng.lognormal(0.0, 2.0, size=n)
+    elif shape == "spiked":
+        diag = rng.uniform(0.5, 1.5, size=n)
+        diag[rng.integers(n, size=3)] *= 1e3
+    else:
+        diag = rng.uniform(0.0, 10.0, size=n) ** 2
+        diag[rng.random(n) < 0.7] = 0.0
+        diag[rng.integers(n)] += 1.0
+    m = max(n * (eps + where * (1.0 - eps)), 1e-12 * n)
+    try:
+        sol = design_probabilities(diag, m, eps=eps)
+    except ValueError as err:
+        # without a floor, a coordinate may get zero probability
+        assert eps == 0.0 and "collapsed" in str(err)
+        return
+    assert sol.converged and sol.iterations == len(sol.objective_history)
+    kkt, fit = _certificates(sol, diag, m, eps)
+    assert kkt <= 1e-12 and fit <= 1e-12
+    # the joint minimum is no worse than where the alternation stopped; the
+    # objective's rounding scales with the budget, as the certificates do
+    _, _, history = alternating_design(diag, m, eps)
+    assert sol.objective <= history[-1] + 1e-15 * max(1.0, m)
+
+
+def test_design_root_on_a_kink_terminates():
+    # at the optimum rho = 0.2 entry 2 sits exactly at the cap. Pattern steps
+    # alone alternate forever between the floats on either side of 0.2 (entry
+    # 2 free, then pinned), each solving to the other; the chord of the sign
+    # bracket lands between them and ends the solve
+    diag = np.array([16.0, 4.0, 25.0, 1.0, 1.0])
+    sol = design_probabilities(diag, 2.6, eps=0.05)
+    assert np.abs(sol.p.p - [0.8, 0.4, 1.0, 0.2, 0.2]).max() <= 1e-15
+    assert sol.rho == pytest.approx(0.2, rel=1e-15, abs=0.0)
+    assert max(_certificates(sol, diag, 2.6, 0.05)) <= 1e-15
+    assert sol.converged and sol.iterations == len(sol.objective_history)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 784),
+    level=st.floats(1e-300, 1e300),
+    where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_flat_profile_is_exactly_uniform_property(n, level, where):
+    eps = 1e-3
+    m = n * (eps + where * (1.0 - eps))
+    sol = design_probabilities(np.full(n, level), m, eps=eps)
+    assert np.all(sol.p.p == sol.p.p[0])
+    assert sol.p.p[0] == min(m / n, 1.0)
+    assert sol.iterations == 0 and sol.objective_history == () and sol.converged

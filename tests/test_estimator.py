@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,22 @@ def test_zero_estimate_invariant():
         CovarianceEstimate(np.eye(2), sample_count=0)
     with pytest.raises(ValueError):
         CovarianceEstimate(np.array([[1.0, 2.0], [0.0, 1.0]]), sample_count=1)
+
+
+def test_symmetry_check_allocates_one_temporary():
+    # |M - M^T| and |M| each allocated an n x n array on top of M - M^T:
+    # 2.0 buffers per wrapped matrix
+    n = 200
+    matrix = rand_psd(np.random.default_rng(4), n)
+    tracemalloc.start()
+    try:
+        CovarianceEstimate(matrix, sample_count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8
+    with pytest.raises(ValueError, match="symmetric"):
+        CovarianceEstimate(matrix + np.triu(np.full((n, n), 1e-9), 1), sample_count=1)
 
 
 def test_relative_frobenius_error():

@@ -50,6 +50,9 @@ def test_spec_validation():
         small_spec(eta=1.0)
     with pytest.raises(ValueError):
         small_spec(q=0.5)
+    for name in ("eta", "gamma", "q", "sigma_ratio"):  # each accepted NaN
+        with pytest.raises(ValueError, match=name):
+            small_spec(**{name: float("nan")})
 
 
 def test_spec_dict_round_trip():
