@@ -33,7 +33,6 @@ from .design import (
     design_probabilities,
     kkt_residual,
     project_box_simplex,
-    update_design,
 )
 from .estimator import CovarianceEstimate, estimate_cov, merge_estimates, relative_frobenius_error
 from .experiment import (

@@ -19,11 +19,13 @@ from .design import _check_budget, _design_from_variances
 from .estimator import (  # noqa: F401
     CovarianceEstimate,
     _check_reweighting,
+    _check_truth,
     _reweighted_gram,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
 )
+from .linalg import _check_finite
 # mask_batch is unused here but stays importable: perfbench/spans.py wraps
 # covest.active.mask_batch and fails when the name is missing
 from .sampling import MaskDistribution, child_rng, draw_mask, mask_batch  # noqa: F401
@@ -42,14 +44,10 @@ class ActiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.budget > 0:  # also rejects NaN
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
-        if self.iterations < 1:
-            raise ValueError("iterations must be a positive integer")
-        if not 0 <= self.eps <= 1:
-            raise ValueError("eps must lie in [0, 1]")
+        _check_finite("budget", self.budget, gt=0)
+        _check_finite("batch_size", self.batch_size, ge=1)
+        _check_finite("iterations", self.iterations, ge=1)
+        _check_finite("eps", self.eps, ge=0, le=1)
 
 
 @dataclass(frozen=True)
@@ -104,12 +102,7 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
     """
     n = p0.n
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != (n, n):
-            raise ValueError("estimate and reference must share a shape")
-        truth_norm = float(np.linalg.norm(truth))
-        if truth_norm == 0.0:
-            raise ValueError("reference matrix must be nonzero")
+        truth, truth_norm = _check_truth(truth, (n, n))
     p = p0
     _check_reweighting(p.p)
     gram_sum = np.zeros((n, n))  # the running sum S
@@ -189,8 +182,9 @@ def run_fixed(oracle, p: MaskDistribution, total: int, truth: np.ndarray | None 
     """
     if oracle.dim != p.n:
         raise ValueError("oracle dimension does not match the design")
-    batch_size = int(total) if batch_size is None else int(batch_size)
-    if total < 1 or batch_size < 1 or total % batch_size != 0:
+    _check_finite("total", total, ge=1)
+    batch_size = int(total) if batch_size is None else int(_check_finite("batch_size", batch_size, ge=1))
+    if total % batch_size != 0:
         raise ValueError("total must be a positive multiple of batch_size")
     cfg = ActiveConfig(
         budget=p.m, batch_size=batch_size, iterations=total // batch_size, seed=seed

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import estimate_cov
-from .linalg import check_square, psd_sqrt_factor
+from .linalg import _check_finite, check_square, psd_sqrt_factor
 from .sampling import MaskDistribution, child_rng, mask_batch
 
 __all__ = [
@@ -40,28 +40,35 @@ def error_scale_matrix(cov: np.ndarray, p: MaskDistribution, sigma_ratio: float 
     sub-Gaussian norm to the square root of its variance (1 covers the
     Gaussian case up to an absolute constant).
     """
-    cov = check_square(cov, "covariance")
+    cov = check_square(cov, "cov")
     if cov.shape[0] != p.n:
         raise ValueError("covariance dimension does not match distribution")
-    if sigma_ratio <= 0:
-        raise ValueError("sigma_ratio must be positive")
-    d = np.diag(cov)
-    if np.any(d < 0):
-        raise ValueError("covariance diagonal must be nonnegative")
+    _check_finite("sigma_ratio", sigma_ratio, gt=0)
+    d = _check_finite("diagonal of cov", np.diag(cov), ge=0)
     root = np.sqrt(d)
-    scale = sigma_ratio**2 * np.outer(root, root) / np.outer(p.p, p.p)
-    # diagonal decays with 1/p_i, not 1/p_i^2: a diagonal entry needs only
-    # one coordinate to be observed
-    np.fill_diagonal(scale, sigma_ratio**2 * d / p.p)
-    return scale
+    with np.errstate(divide="ignore", over="ignore"):  # a tiny p overflows it; judged below
+        scale = sigma_ratio**2 * np.outer(root, root) / np.outer(p.p, p.p)
+        # diagonal decays with 1/p_i, not 1/p_i^2: a diagonal entry needs only
+        # one coordinate to be observed
+        np.fill_diagonal(scale, sigma_ratio**2 * d / p.p)
+    return _check_finite("error scale matrix", scale)
 
 
 def entrywise_norm(matrix: np.ndarray, q: float) -> float:
     """q-norm of the matrix flattened to a vector: (sum |m_ij|^q)^(1/q)."""
-    if q < 1:
-        raise ValueError("entrywise norm requires q >= 1")
-    matrix = np.asarray(matrix, dtype=float)
-    return float(np.sum(np.abs(matrix) ** q) ** (1.0 / q))
+    _check_finite("q", q, ge=1)
+    return _entrywise_norm(_check_finite("matrix", matrix), q)
+
+
+def _entrywise_norm(matrix: np.ndarray, q: float) -> float:
+    # entrywise_norm of a checked finite matrix, scaled only where the sum overflows
+    size = np.abs(matrix)
+    with np.errstate(over="ignore"):
+        total = np.sum(size**q)
+    if np.isfinite(total):
+        return float(total ** (1.0 / q))
+    top = size.max()
+    return float(top * np.sum((size / top) ** q) ** (1.0 / q))
 
 
 def effective_rank(cov: np.ndarray, tol: float = 1e-8) -> float:
@@ -71,14 +78,19 @@ def effective_rank(cov: np.ndarray, tol: float = 1e-8) -> float:
     the rank. Eigenvalues below -tol (relative to the largest magnitude)
     raise; smaller dips are treated as numerical noise.
     """
-    cov = check_square(cov, "covariance")
+    _check_finite("tol", tol, ge=0)
+    return _rank_and_top(check_square(cov, "cov"), tol)[0]
+
+
+def _rank_and_top(cov: np.ndarray, tol: float = 1e-8) -> tuple[float, float]:
+    # effective_rank of a checked matrix, and its top eigenvalue, from one eigvalsh
     w = np.linalg.eigvalsh(cov)
     scale = max(abs(w[0]), abs(w[-1]))
     if scale == 0.0:
         raise ValueError("effective rank of the zero matrix is undefined")
-    if w[0] < -tol * scale:
+    if not w[0] >= -tol * scale:
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    return float(np.sum(w) / w[-1])
+    return float(np.sum(w) / w[-1]), float(w[-1])
 
 
 def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: float = 1.0) -> float:
@@ -90,16 +102,11 @@ def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: fl
     the large-sample regime; the linear branch takes over when samples are few
     relative to the confidence level.
     """
-    if samples < 1:
-        raise ValueError("samples must be a positive integer")
-    if not eta > 1:  # also rejects NaN
-        raise ValueError(f"eta must exceed 1, got {eta}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    if not scale_norm >= 0:
-        raise ValueError(f"scale_norm must be nonnegative, got {scale_norm}")
+    _check_finite("samples", samples, ge=1)
+    _check_finite("eta", eta, gt=1)
+    _check_finite("gamma", gamma, gt=0)
+    _check_finite("dim", dim, ge=1)
+    _check_finite("scale_norm", scale_norm, ge=0)
     rate = gamma * (2.0 * math.log(dim) + math.log(eta)) / samples
     return float(scale_norm * max(math.sqrt(rate), rate))
 
@@ -113,14 +120,12 @@ def error_scale_norm_bound(
     error bound can be stated from the effective rank and the worst
     observation probability alone. Valid for q >= 2.
     """
-    if q < 2:
-        raise ValueError("the effective-rank bound requires q >= 2")
-    cov = check_square(cov, "covariance")
-    erank = effective_rank(cov)
-    top = float(np.linalg.eigvalsh(cov)[-1])
+    _check_finite("q", q, ge=2)
+    scale = error_scale_matrix(cov, p, sigma_ratio)
+    erank, top = _rank_and_top(np.asarray(cov, dtype=float))
     value = 2.0 * sigma_ratio**2 * erank * top / p.p_min**2
     # cheap self-check: the summary bound must dominate the exact norm
-    if not entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q) <= value:
+    if not _entrywise_norm(scale, q) <= value:
         raise RuntimeError("effective-rank bound fell below the exact scale-matrix norm")
     return float(value)
 
@@ -164,13 +169,14 @@ def bound_report(
     sigma_ratio: float = 1.0,
 ) -> BoundReport:
     """Assemble the scale-matrix norm, the effective rank, and the bound."""
+    _check_finite("q", q, ge=1)  # error_scale_matrix and error_bound check the rest
     return _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, effective_rank(cov))
 
 
 def _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, erank: float) -> BoundReport:
     # bound_report with the effective rank of cov supplied by a caller that
     # reports on one covariance under many designs
-    norm = entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
+    norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
     return BoundReport(
         scale_norm=norm,
         q=q,
@@ -210,12 +216,12 @@ def calibrate_gamma(
     quantile. Calibration, not proof: the guarantee is exact on the simulated
     trials and approximate off them.
     """
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
-    if not eta > 1:  # also rejects NaN
-        raise ValueError(f"eta must exceed 1, got {eta}")
-    cov = check_square(cov, "covariance")
-    scale_norm = entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
+    _check_finite("samples", samples, ge=1)
+    _check_finite("eta", eta, gt=1)
+    _check_finite("trials", trials, ge=1)
+    _check_finite("q", q, ge=1)
+    scale_norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
+    cov = np.asarray(cov, dtype=float)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples
     factor = psd_sqrt_factor(cov)
     implied = np.empty(trials)
@@ -223,7 +229,7 @@ def calibrate_gamma(
         rng = child_rng(seed, r)
         xs = rng.standard_normal((samples, p.n)) @ factor.T
         est = estimate_cov(mask_batch(xs, p, rng), p)
-        err = entrywise_norm(est.matrix - cov, q)
+        err = _entrywise_norm(est.matrix - cov, q)
         implied[r] = _implied_gamma(err, scale_norm, rate_per_gamma)
     # conservative quantile: at most floor(2/eta * trials) trials may exceed
     implied.sort()

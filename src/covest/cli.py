@@ -215,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("design", help="fit observation probabilities to a variance profile")
     d.add_argument("--diag", required=True, help="variance profile: CSV file or inline vector")
-    d.add_argument("--budget", required=True, type=float, help="expected observed coordinates per sample")
-    d.add_argument("--eps", type=float, default=1e-3, help="probability floor (default 1e-3)")
+    d.add_argument("--budget", required=True, type=_finite_float, help="expected observed coordinates per sample")
+    d.add_argument("--eps", type=_finite_float, default=1e-3, help="probability floor (default 1e-3)")
     d.add_argument("--out", help="also write the design vector to this CSV file")
     d.set_defaults(func=cmd_design)
 
@@ -230,12 +230,12 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("active", help="adaptive estimation loop on a synthetic spiked source")
     a.add_argument("--n", required=True, type=int)
     a.add_argument("--spikes", type=int, default=1)
-    a.add_argument("--spike", type=float, default=10.0)
-    a.add_argument("--theta", type=float, default=0.0, help="isotropic noise level")
-    a.add_argument("--budget-frac", required=True, type=float)
+    a.add_argument("--spike", type=_finite_float, default=10.0)
+    a.add_argument("--theta", type=_finite_float, default=0.0, help="isotropic noise level")
+    a.add_argument("--budget-frac", required=True, type=_finite_float)
     a.add_argument("--batch", type=int, default=50)
     a.add_argument("--iters", type=int, default=20)
-    a.add_argument("--eps", type=float, default=1e-3)
+    a.add_argument("--eps", type=_finite_float, default=1e-3)
     a.add_argument("--seed", type=int, default=None)
     a.add_argument("--out", help="also write the error trace to this CSV file")
     a.set_defaults(func=cmd_active)
@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="high-probability error-bound report")
     b.add_argument("--sigma", required=True, help="covariance matrix CSV file")
     b.add_argument("--p", help="observation probabilities: CSV file or inline vector")
-    b.add_argument("--budget-frac", type=float, help="uniform probabilities at this fraction")
+    b.add_argument("--budget-frac", type=_finite_float, help="uniform probabilities at this fraction")
     b.add_argument("--samples", required=True, type=int)
     b.add_argument("--eta", type=_finite_float, default=100.0)
     b.add_argument("--gamma", type=_finite_float, default=1.0)
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sigma", help="covariance matrix CSV file")
     g.add_argument("--dim", type=int, help="use the identity covariance of this dimension")
     g.add_argument("--p", help="observation probabilities: CSV file or inline vector")
-    g.add_argument("--budget-frac", type=float)
+    g.add_argument("--budget-frac", type=_finite_float)
     g.add_argument("--samples", required=True, type=int)
     g.add_argument("--eta", type=_finite_float, default=100.0)
     g.add_argument("--trials", type=int, default=1000)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import check_square, clamped_sqrt, psd_sqrt_factor, spectral_norm
+from .linalg import _check_finite, check_square, clamped_sqrt, psd_sqrt_factor, spectral_norm
 
 __all__ = [
     "SyntheticModel",
@@ -36,15 +36,11 @@ class SyntheticModel:
     """
 
     def __init__(self, base_cov: np.ndarray, theta: float = 0.0):
-        base_cov = check_square(base_cov, "base covariance")
-        if not 0 <= theta < np.inf:  # also rejects NaN
-            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
-        if not np.all(np.isfinite(base_cov)):
-            raise ValueError("base covariance must be finite")
-        if np.abs(base_cov - base_cov.T).max() > 1e-12 * max(1.0, float(np.abs(base_cov).max())):
+        base_cov = check_square(base_cov, "base_cov")
+        if not np.abs(base_cov - base_cov.T).max() <= 1e-12 * max(1.0, float(np.abs(base_cov).max())):
             raise ValueError("base covariance must be symmetric")
         self.base_cov = base_cov
-        self.theta = float(theta)
+        self.theta = float(_check_finite("theta", theta, ge=0))
         diagonal = np.diagonal(base_cov)
         is_diagonal = np.count_nonzero(base_cov) == np.count_nonzero(diagonal)
         # a diagonal matrix's eigenvalues are its diagonal entries, so eigh
@@ -98,8 +94,7 @@ def make_spiked_model(n: int, k: int, spike: float, theta: float = 0.0, seed: in
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n spikes")
-    if spike < 1:
-        raise ValueError("spike must be at least 1 so it is the top eigenvalue")
+    _check_finite("spike", spike, ge=1)  # so it is the top eigenvalue
     rng = np.random.default_rng(seed)
     values = np.ones(int(n))
     values[rng.permutation(int(n))[:k]] = float(spike)
@@ -116,15 +111,13 @@ class EmpiricalSource:
     """
 
     def __init__(self, records: np.ndarray, theta: float = 0.0):
-        records = np.asarray(records, dtype=float)
-        if records.ndim != 2 or records.shape[0] < 2:
+        records = _check_finite("records", records)
+        if not (records.ndim == 2 and records.shape[0] >= 2):
             raise ValueError("records must be a 2-D array with at least two rows")
-        if not 0 <= theta < np.inf:  # also rejects NaN
-            raise ValueError(f"theta must be finite and nonnegative, got {theta}")
         centered = records - records.mean(axis=0)
         centered.flags.writeable = False
         self.records = centered
-        self.theta = float(theta)
+        self.theta = float(_check_finite("theta", theta, ge=0))
         self.base_cov = centered.T @ centered / centered.shape[0]
         self.base_spectral_norm = spectral_norm(self.base_cov)
         if self.base_spectral_norm == 0.0:
@@ -183,7 +176,7 @@ def load_idx(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
         raw = gzip.decompress(raw)
-    if len(raw) < 4:
+    if not len(raw) >= 4:
         raise ValueError(f"{path}: truncated IDX header")
     if raw[0] != 0 or raw[1] != 0:
         raise ValueError(f"{path}: bad IDX magic bytes {raw[0]:#04x} {raw[1]:#04x}")
@@ -191,7 +184,7 @@ def load_idx(path) -> np.ndarray:
     if type_code != 0x08:
         raise ValueError(f"{path}: unsupported IDX type code {type_code:#04x}")
     header_len = 4 + 4 * ndim
-    if len(raw) < header_len:
+    if not len(raw) >= header_len:
         raise ValueError(f"{path}: truncated IDX dimension table")
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
     expected = int(np.prod(dims, dtype=np.int64)) if ndim else 1
@@ -204,7 +197,7 @@ def load_idx(path) -> np.ndarray:
 def build_empirical_source(images: np.ndarray, labels: np.ndarray, digit: int, theta: float = 0.0) -> EmpiricalSource:
     """Select one label class, flatten the images, and wrap them as a source."""
     images = np.asarray(images)
-    labels = np.asarray(labels)
+    labels = _check_finite("labels", labels)
     if images.ndim != 3:
         raise ValueError("images must be a 3-D tensor (count, rows, cols)")
     if labels.shape != (images.shape[0],):
@@ -212,5 +205,6 @@ def build_empirical_source(images: np.ndarray, labels: np.ndarray, digit: int, t
     keep = labels == digit
     if not np.any(keep):
         raise ValueError(f"no images labeled {digit}")
-    vectors = images[keep].reshape(int(keep.sum()), -1).astype(float)
+    # the integer pixels of an IDX file convert without a finiteness scan
+    vectors = _check_finite("images", images[keep].reshape(int(keep.sum()), -1))
     return EmpiricalSource(vectors, theta=theta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import CovarianceEstimate
+from .linalg import _check_finite
 from .sampling import MaskDistribution
 
 __all__ = [
@@ -23,20 +23,20 @@ __all__ = [
     "project_box_simplex",
     "kkt_residual",
     "design_probabilities",
-    "update_design",
 ]
 
 
-def _check_budget(n: int, m: float, floor: float) -> None:
-    """The budget contract: a floor in [0, 1] and a budget in [n * floor, n], above 0."""
-    if not 0 <= floor <= 1:
-        raise ValueError("floor must lie in [0, 1]")
-    if not m > 0:  # also rejects NaN
-        raise ValueError("budget must be positive")
-    if m > n * (1 + 1e-12):
-        raise ValueError(f"budget {m} exceeds dimension {n}")
-    if m < n * floor - 1e-12:
-        raise ValueError(f"budget {m} cannot cover floor {floor} in dimension {n}")
+def _check_budget(n: int, m: float, eps: float) -> None:
+    """The budget contract: a floor eps in [0, 1] and a budget in [n * eps, n], above 0."""
+    _check_finite("eps", eps, ge=0, le=1)
+    _check_finite("budget", m, gt=0)
+    if not n * eps - 1e-12 <= m <= n * (1 + 1e-12):
+        raise ValueError(f"budget {m} must lie in [n * eps, n] = [{n * eps:g}, {n}]")
+
+
+def _bound_tol(lo: float, hi: float) -> float:
+    """How near a bound of [lo, hi] an entry counts as at it, to rounding."""
+    return 1e-12 * max(1.0, hi - lo)
 
 
 @dataclass(frozen=True)
@@ -112,18 +112,14 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     the pattern at its midpoint is solved (Condat, Math. Prog. 2016). Raises
     when the budget is infeasible for the box.
     """
-    v = np.asarray(v, dtype=float)
+    v = _check_finite("v", v)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("v must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("v must be finite (no NaN or inf entries)")
-    if not np.isfinite(m):
-        raise ValueError(f"budget m must be finite, got {m}")
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
+    _check_finite("budget m", m)
+    _check_finite("hi", hi, ge=_check_finite("lo", lo))
     n = v.size
     slack = 1e-9 * max(1.0, abs(m))
-    if m < n * lo - slack or m > n * hi + slack:
+    if not n * lo - slack <= m <= n * hi + slack:
         raise ValueError(f"budget {m} is infeasible for box [{lo}, {hi}]^{n}")
     if m >= n * hi:
         return np.full(n, hi)
@@ -163,14 +159,13 @@ def kkt_residual(p: np.ndarray, v: np.ndarray, m: float, lo: float = 0.0, hi: fl
     counts: an entry a hair above lo is free when the budget itself is that
     small, but pinned when it is rounding left on a clipped entry.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for name, x in (("p", p), ("v", v), ("m", m)):
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{name} must be finite (no NaN or inf entries)")
+    p = _check_finite("p", p)
+    v = _check_finite("v", v)
+    _check_finite("m", m)
+    _check_finite("hi", hi, ge=_check_finite("lo", lo))
     budget_dev = abs(float(p.sum()) - m)
     devs = []
-    for atol in (0.0, 1e-12 * max(1.0, hi - lo)):
+    for atol in (0.0, _bound_tol(lo, hi)):
         at_hi = p >= hi - atol
         at_lo = p <= lo + atol
         free = ~(at_hi | at_lo)
@@ -201,13 +196,9 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     tolerance, and both certificates of DesignSolution hold. When the profile
     is flat the answer is exactly uniform by symmetry, with no projection.
     """
-    diag_sigma = np.asarray(diag_sigma, dtype=float)
+    diag_sigma = _check_finite("variance profile", diag_sigma, ge=0)
     if diag_sigma.ndim != 1 or diag_sigma.size == 0:
         raise ValueError("variance profile must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(diag_sigma)):
-        raise ValueError("variance profile must be finite (no NaN or inf entries)")
-    if np.any(diag_sigma < 0):
-        raise ValueError("variance profile must be nonnegative")
     if not np.any(diag_sigma > 0):
         raise ValueError("design needs at least one positive variance")
     m, eps = float(m), float(eps)
@@ -250,7 +241,9 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
                 break
         rho = step
 
-    if np.any(p <= 0.0):
+    # with eps = 0 the optimum can put an entry at 0, which rounding may leave
+    # a hair above; the entries, and so the hair, scale with a budget below 1
+    if eps == 0 and np.any(p <= _bound_tol(0.0, 1.0) * min(1.0, m)):
         raise ValueError(
             "design collapsed a coordinate to zero probability; "
             "use a positive floor (eps) to keep every coordinate observable"
@@ -265,18 +258,7 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     )
 
 
-def update_design(estimate, m: float, eps: float = 1e-3) -> DesignSolution:
-    """Redesign from an estimated covariance (an estimate or its matrix).
-
-    Negative diagonal entries (possible, since the unbiased estimate need not
-    be PSD) are clamped to zero before the solve; clamped coordinates end up
-    at the floor.
-    """
-    if isinstance(estimate, CovarianceEstimate):
-        estimate = estimate.matrix
-    return _design_from_variances(np.diag(np.asarray(estimate, dtype=float)), m, eps)
-
-
 def _design_from_variances(variances: np.ndarray, m: float, eps: float) -> DesignSolution:
-    """update_design on the estimated variances alone, an O(n) input."""
+    """Redesign from estimated variances, clamping negative ones (the unbiased
+    estimate need not be PSD) to zero, so their coordinates end up at the floor."""
     return design_probabilities(np.clip(variances, 0.0, None), m, eps)

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_finite
 from .sampling import MaskDistribution, MaskedBatch
 
 __all__ = [
@@ -34,11 +35,13 @@ class CovarianceEstimate:
         # the one n x n temporary; matrix - matrix.T would add a 64 KB ufunc
         # buffer for the transposed operand
         asym = matrix.T.copy()
-        asym -= matrix
-        if max(float(asym.max()), -float(asym.min())) > tol:
+        with np.errstate(invalid="ignore"):  # inf - inf is judged below
+            asym -= matrix
+        # NaN makes asym NaN and inf makes tol inf, so this also finds non-finite entries
+        if not max(float(asym.max()), -float(asym.min())) <= tol < np.inf:
+            _check_finite("matrix", matrix)
             raise ValueError("estimate matrix must be symmetric")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be nonnegative")
+        _check_finite("sample_count", self.sample_count, ge=0)
         if self.sample_count == 0 and np.any(matrix != 0.0):
             raise ValueError("an estimate from zero samples must be the zero matrix")
         object.__setattr__(self, "matrix", matrix)
@@ -67,7 +70,7 @@ def _check_reweighting(p: np.ndarray) -> None:
     That factor is 1/(p_i p_j) for the two smallest entries, or 1/p_0 when n = 1.
     """
     smallest = np.partition(p, 1)[:2] if p.size > 1 else p
-    if float(np.prod(smallest)) * np.finfo(float).max < 1.0:
+    if not float(np.prod(smallest)) * np.finfo(float).max >= 1.0:
         raise ValueError("entrywise inverse requires strictly positive entries: 1/(p_i p_j) overflows")
 
 
@@ -124,13 +127,19 @@ def merge_estimates(prev: CovarianceEstimate, batch: CovarianceEstimate) -> Cova
     return CovarianceEstimate(matrix=matrix, sample_count=total)
 
 
+def _check_truth(truth, shape: tuple) -> tuple[np.ndarray, float]:
+    """A finite, nonzero reference of the given shape, and its Frobenius norm."""
+    truth = _check_finite("truth", truth)
+    if truth.shape != shape:
+        raise ValueError("estimate and reference must share a shape")
+    norm = float(np.linalg.norm(truth))
+    if norm == 0.0:
+        raise ValueError("reference matrix must be nonzero")
+    return truth, norm
+
+
 def relative_frobenius_error(estimate, truth: np.ndarray) -> float:
     """Frobenius-norm error of an estimate relative to a nonzero reference."""
-    matrix = estimate.matrix if isinstance(estimate, CovarianceEstimate) else np.asarray(estimate, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if matrix.shape != truth.shape:
-        raise ValueError("estimate and reference must share a shape")
-    denom = float(np.linalg.norm(truth))
-    if denom == 0.0:
-        raise ValueError("reference matrix must be nonzero")
+    matrix = estimate.matrix if isinstance(estimate, CovarianceEstimate) else _check_finite("estimate", estimate)
+    truth, denom = _check_truth(truth, matrix.shape)
     return float(np.linalg.norm(matrix - truth) / denom)

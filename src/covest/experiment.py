@@ -24,6 +24,7 @@ from .active import ActiveConfig, run_active, run_fixed
 from .bounds import BoundReport, _bound_report, bound_report, effective_rank  # noqa: F401
 from .data import build_empirical_source, load_idx, make_spiked_model
 from .design import design_probabilities
+from .linalg import _check_finite
 from .sampling import MaskDistribution, child_rng, derive_seed
 
 __all__ = [
@@ -53,6 +54,10 @@ class SyntheticSourceSpec:
     spike: float
     theta: float = 0.0
 
+    def __post_init__(self):
+        _check_finite("spike", self.spike, ge=1)
+        _check_finite("theta", self.theta, ge=0)
+
     def to_dict(self) -> dict:
         return {"kind": "synthetic", "n": self.n, "spikes": self.spikes,
                 "spike": self.spike, "theta": self.theta}
@@ -66,6 +71,9 @@ class EmpiricalSourceSpec:
     labels: str
     digit: int
     theta: float = 0.0
+
+    def __post_init__(self):
+        _check_finite("theta", self.theta, ge=0)
 
     def to_dict(self) -> dict:
         return {"kind": "empirical", "images": self.images, "labels": self.labels,
@@ -108,27 +116,18 @@ class ExperimentSpec:
                 raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
         if len(set(self.arms)) != len(self.arms):
             raise ValueError("arms must be distinct")
-        if self.trials < 1:
-            raise ValueError("trials must be a positive integer")
-        if self.batch_size < 1 or self.iterations < 1:
-            raise ValueError("batch_size and iterations must be positive integers")
-        if not 0 <= self.eps < 1:
-            raise ValueError("eps must lie in [0, 1)")
+        _check_finite("trials", self.trials, ge=1)
+        _check_finite("batch_size", self.batch_size, ge=1)
+        _check_finite("iterations", self.iterations, ge=1)
+        _check_finite("eps", self.eps, ge=0, lt=1)
         needs_budget = [a for a in self.arms if a != "full"]
         if needs_budget and not self.budget_fracs:
             raise ValueError("budgeted arms need at least one budget fraction")
-        for frac in self.budget_fracs:
-            if not self.eps <= frac <= 1.0:
-                raise ValueError(f"budget fraction {frac} must lie in [eps, 1]")
-        # written so that NaN fails each check
-        if not self.q >= 1:
-            raise ValueError(f"q must be at least 1, got {self.q}")
-        if not self.eta > 1:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.sigma_ratio > 0:
-            raise ValueError(f"sigma_ratio must be positive, got {self.sigma_ratio}")
+        _check_finite("budget fraction", self.budget_fracs, ge=self.eps, le=1)
+        _check_finite("q", self.q, ge=1)
+        _check_finite("eta", self.eta, gt=1)
+        _check_finite("gamma", self.gamma, gt=0)
+        _check_finite("sigma_ratio", self.sigma_ratio, gt=0)
 
     @property
     def total_samples(self) -> int:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _check_finite
+
 __all__ = [
     "MaskDistribution",
     "MaskedBatch",
@@ -50,12 +52,9 @@ class MaskDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
+        p = _check_finite("p", self.p, gt=0, le=1).copy()
         if p.ndim != 1 or p.size == 0:
             raise ValueError("observation probabilities must form a nonempty 1-D vector")
-        # NaN fails both comparisons, so it is rejected here too
-        if not np.all((p > 0.0) & (p <= 1.0)):
-            raise ValueError("observation probabilities must lie in (0, 1]")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -75,7 +74,7 @@ class MaskDistribution:
     @classmethod
     def uniform(cls, n: int, m: float) -> "MaskDistribution":
         """Spread a budget of m evenly: every coordinate observed w.p. m/n."""
-        return cls(np.full(int(n), m / n))
+        return cls(np.full(int(n), _check_finite("m", m, gt=0) / n))
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,11 @@ class MaskedBatch:
 
     def __post_init__(self):
         masks = np.asarray(self.masks, dtype=float)
-        observed = np.asarray(self.observed, dtype=float)
+        observed = _check_finite("observed", self.observed)
         if masks.shape != observed.shape or masks.ndim != 2:
             raise ValueError("masks and observed rows must be 2-D with equal shape")
         if not np.all((masks == 0.0) | (masks == 1.0)):
-            raise ValueError("mask entries must be 0 or 1")
-        if not np.all(np.isfinite(observed)):
-            raise ValueError("observed rows must be finite (no NaN or inf entries)")
+            raise ValueError("masks must hold only 0 and 1 entries")
         if np.any(observed[masks == 0.0] != 0.0):
             raise ValueError("observed rows must vanish on unobserved coordinates")
         object.__setattr__(self, "masks", masks)
@@ -123,7 +120,7 @@ def draw_mask(p: MaskDistribution, rng: np.random.Generator, size: int | None = 
 
 def mask_batch(xs: np.ndarray, p: MaskDistribution, rng: np.random.Generator) -> MaskedBatch:
     """Observe a stack of vectors (rows) through independent masks."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _check_finite("xs", xs)
     if xs.ndim != 2 or xs.shape[1] != p.n:
         raise ValueError(f"batch has shape {xs.shape}, expected (count, {p.n})")
     masks = draw_mask(p, rng, size=xs.shape[0])

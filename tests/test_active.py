@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.data import make_spiked_model
-from covest.design import design_probabilities, update_design
+from covest.design import design_probabilities
 from covest.estimator import CovarianceEstimate, estimate_cov, merge_estimates, relative_frobenius_error
 from covest.sampling import MaskDistribution, child_rng, derive_seed, mask_batch
 
@@ -233,7 +233,7 @@ def _reference_chain(oracle, p, iterations, batch_size, seed, truth, adapt, budg
         rel = np.nan if truth is None else relative_frobenius_error(estimate, truth)
         steps.append((p.p, batch_estimate, estimate, rel, batch.observed_count))
         if adapt:
-            p = update_design(estimate, budget, eps).p
+            p = design_probabilities(np.clip(np.diag(estimate.matrix), 0.0, None), budget, eps).p
     return steps, estimate, p.p
 
 

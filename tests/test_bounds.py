@@ -134,6 +134,37 @@ def test_scale_norm_bound_dominates_randomly():
         assert exact <= bound * (1 + 1e-12)
 
 
+def test_scale_norm_bound_takes_one_spectrum(monkeypatch):
+    # erank and the top eigenvalue come from one eigvalsh, bit for bit as
+    # from effective_rank and a second eigvalsh
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        cov = rand_psd(rng, n, scale=float(rng.uniform(0.1, 10)))
+        probs = MaskDistribution(rng.uniform(0.05, 1.0, size=n))
+        sr = float(rng.uniform(0.5, 3.0))
+        top = float(np.linalg.eigvalsh(cov)[-1])
+        cases.append((cov, probs, sr, 2.0 * sr**2 * effective_rank(cov) * top / probs.p_min**2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    for cov, probs, sr, expected in cases:
+        assert error_scale_norm_bound(cov, probs, sigma_ratio=sr) == expected
+    assert len(calls) == len(cases)
+
+
+def test_bound_report_survives_a_scale_norm_past_float_range():
+    # the scale matrix's largest entry is 2e200, so the sum of squares
+    # overflows; the norm is 3e200 and the bound finite
+    rep = bound_report(np.eye(2), MaskDistribution([1e-200, 0.5]), 100, 100.0)
+    assert rep.scale_norm == pytest.approx(3e200)
+    assert rep.bound == pytest.approx(3e200 * math.sqrt((2.0 * math.log(2) + math.log(100.0)) / 100))
+    # where the scale matrix itself overflows, the message names it
+    with pytest.raises(ValueError, match="error scale matrix must be finite, got inf at"):
+        bound_report(np.eye(2), MaskDistribution([1e-200, 1e-200]), 100, 100.0)
+
+
 def test_bound_report_contents():
     cov = np.diag([4.0, 1.0])
     p = MaskDistribution(np.array([0.5, 0.5]))

@@ -50,3 +50,34 @@ def test_batch_loops_accept_record_matrices():
     # the benchmark's workloads pass record_matrices to both loops
     for fn in (covest.run_active, covest.run_fixed):
         assert "record_matrices" in inspect.signature(fn).parameters
+
+
+_ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _bare_ordering(test) -> bool:
+    # x < c, alone or inside and/or; a comparison under `not` is the NaN-safe form
+    if isinstance(test, ast.Compare):
+        return any(isinstance(op, _ORDERINGS) for op in test.ops)
+    return isinstance(test, ast.BoolOp) and any(_bare_ordering(v) for v in test.values)
+
+
+def _raises_value_error(body) -> bool:
+    for stmt in body:
+        if isinstance(stmt, ast.Raise) and stmt.exc is not None:
+            exc = stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                return True
+    return False
+
+
+def test_range_checks_reject_nan():
+    # "if x < c: raise ValueError" lets NaN through, since every comparison
+    # with NaN is False; write "if not x >= c" or call linalg._check_finite
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node.test)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.If) and _raises_value_error(node.body) and _bare_ordering(node.test)
+    ]
+    assert found == []
