@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import _check_budget, _design_from_variances
+from . import design  # called through the module, where perfbench/spans.py wraps it
 # estimate_cov, merge_estimates and relative_frobenius_error are what the loop
 # computes in place; they stay importable from this module, where
 # perfbench/spans.py instruments them
@@ -145,7 +145,8 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
             )
         )
         if adapt:
-            p = _design_from_variances(np.diagonal(gram_sum) / samples, cfg.budget, cfg.eps).p
+            # each diagonal entry of S is a sum of obs_i^2 / p_i, so the profile is >= 0
+            p = design.design_probabilities(np.diagonal(gram_sum) / samples, cfg.budget, cfg.eps).p
             _check_reweighting(p.p)
     trace.final_design = p.p
     trace.final_estimate = CovarianceEstimate(gram_sum / samples, samples)
@@ -163,9 +164,7 @@ def run_active(oracle, cfg: ActiveConfig, truth: np.ndarray | None = None,
     errors and counts; record_matrices=True also keeps each batch's estimate
     and the running estimate per record, two n x n copies per batch.
     """
-    n = oracle.dim
-    _check_budget(n, cfg.budget, cfg.eps)
-    p0 = MaskDistribution.uniform(n, cfg.budget)
+    p0 = design.design_probabilities(np.ones(oracle.dim), cfg.budget, cfg.eps).p
     return _run_batches(oracle, p0, cfg, truth, adapt=True, record_matrices=record_matrices)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import estimate_cov
-from .linalg import _check_finite, check_square, psd_sqrt_factor
+from .linalg import _check_finite, check_psd_spectrum, check_square, check_symmetric, psd_sqrt_factor
 from .sampling import MaskDistribution, child_rng, mask_batch
 
 __all__ = [
@@ -71,25 +71,22 @@ def _entrywise_norm(matrix: np.ndarray, q: float) -> float:
     return float(top * np.sum((size / top) ** q) ** (1.0 / q))
 
 
-def effective_rank(cov: np.ndarray, tol: float = 1e-8) -> float:
-    """Trace over spectral norm of a nonzero PSD matrix.
+def effective_rank(cov: np.ndarray) -> float:
+    """Trace over spectral norm of a nonzero symmetric PSD matrix.
 
     Lies in [1, n], stays put when the matrix is rescaled, and never exceeds
-    the rank. Eigenvalues below -tol (relative to the largest magnitude)
-    raise; smaller dips are treated as numerical noise.
+    the rank. cov must pass linalg.check_symmetric, and its eigenvalues
+    linalg.check_psd_spectrum.
     """
-    _check_finite("tol", tol, ge=0)
-    return _rank_and_top(check_square(cov, "cov"), tol)[0]
+    return _rank_and_top(check_symmetric(cov, "cov"))[0]
 
 
-def _rank_and_top(cov: np.ndarray, tol: float = 1e-8) -> tuple[float, float]:
+def _rank_and_top(cov: np.ndarray) -> tuple[float, float]:
     # effective_rank of a checked matrix, and its top eigenvalue, from one eigvalsh
     w = np.linalg.eigvalsh(cov)
-    scale = max(abs(w[0]), abs(w[-1]))
-    if scale == 0.0:
+    if w[0] == w[-1] == 0.0:
         raise ValueError("effective rank of the zero matrix is undefined")
-    if not w[0] >= -tol * scale:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
+    check_psd_spectrum(w)
     return float(np.sum(w) / w[-1]), float(w[-1])
 
 
@@ -121,8 +118,9 @@ def error_scale_norm_bound(
     observation probability alone. Valid for q >= 2.
     """
     _check_finite("q", q, ge=2)
+    cov = check_symmetric(cov, "cov")
     scale = error_scale_matrix(cov, p, sigma_ratio)
-    erank, top = _rank_and_top(np.asarray(cov, dtype=float))
+    erank, top = _rank_and_top(cov)
     value = 2.0 * sigma_ratio**2 * erank * top / p.p_min**2
     # cheap self-check: the summary bound must dominate the exact norm
     if not _entrywise_norm(scale, q) <= value:
@@ -220,8 +218,8 @@ def calibrate_gamma(
     _check_finite("eta", eta, gt=1)
     _check_finite("trials", trials, ge=1)
     _check_finite("q", q, ge=1)
+    cov = check_symmetric(cov, "cov")
     scale_norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
-    cov = np.asarray(cov, dtype=float)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples
     factor = psd_sqrt_factor(cov)
     implied = np.empty(trials)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _check_finite, check_square, clamped_sqrt, psd_sqrt_factor, spectral_norm
+from .linalg import _check_finite, check_symmetric, clamped_sqrt, psd_sqrt_factor, spectral_norm
 
 __all__ = [
     "SyntheticModel",
@@ -36,9 +36,7 @@ class SyntheticModel:
     """
 
     def __init__(self, base_cov: np.ndarray, theta: float = 0.0):
-        base_cov = check_square(base_cov, "base_cov")
-        if not np.abs(base_cov - base_cov.T).max() <= 1e-12 * max(1.0, float(np.abs(base_cov).max())):
-            raise ValueError("base covariance must be symmetric")
+        base_cov = check_symmetric(base_cov, "base_cov")
         self.base_cov = base_cov
         self.theta = float(_check_finite("theta", theta, ge=0))
         diagonal = np.diagonal(base_cov)

@@ -256,9 +256,3 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
         converged=True,
         objective_history=tuple(history),
     )
-
-
-def _design_from_variances(variances: np.ndarray, m: float, eps: float) -> DesignSolution:
-    """Redesign from estimated variances, clamping negative ones (the unbiased
-    estimate need not be PSD) to zero, so their coordinates end up at the floor."""
-    return design_probabilities(np.clip(variances, 0.0, None), m, eps)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_finite
+from .linalg import _check_finite, check_symmetric
 from .sampling import MaskDistribution, MaskedBatch
 
 __all__ = [
@@ -28,19 +28,7 @@ class CovarianceEstimate:
     sample_count: int
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("estimate matrix must be square")
-        tol = 1e-12 * max(1.0, float(matrix.max()), -float(matrix.min()))
-        # the one n x n temporary; matrix - matrix.T would add a 64 KB ufunc
-        # buffer for the transposed operand
-        asym = matrix.T.copy()
-        with np.errstate(invalid="ignore"):  # inf - inf is judged below
-            asym -= matrix
-        # NaN makes asym NaN and inf makes tol inf, so this also finds non-finite entries
-        if not max(float(asym.max()), -float(asym.min())) <= tol < np.inf:
-            _check_finite("matrix", matrix)
-            raise ValueError("estimate matrix must be symmetric")
+        matrix = check_symmetric(self.matrix, "matrix")
         _check_finite("sample_count", self.sample_count, ge=0)
         if self.sample_count == 0 and np.any(matrix != 0.0):
             raise ValueError("an estimate from zero samples must be the zero matrix")

@@ -119,7 +119,7 @@ class ExperimentSpec:
         _check_finite("trials", self.trials, ge=1)
         _check_finite("batch_size", self.batch_size, ge=1)
         _check_finite("iterations", self.iterations, ge=1)
-        _check_finite("eps", self.eps, ge=0, lt=1)
+        _check_finite("eps", self.eps, ge=0, le=1)
         needs_budget = [a for a in self.arms if a != "full"]
         if needs_budget and not self.budget_fracs:
             raise ValueError("budgeted arms need at least one budget fraction")

@@ -8,10 +8,36 @@ import numpy as np
 
 def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
     """matrix as a finite, square 2-D float array; error messages call it name."""
-    matrix = _check_finite(name, matrix)
+    return _square(name, _check_finite(name, matrix))
+
+
+def _square(name: str, matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square 2-D array, got shape {matrix.shape}")
     return matrix
+
+
+def check_symmetric(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """check_square, and |m_ij - m_ji| <= 1e-12 * max |m_ij|: symmetric at any scale."""
+    matrix = _square(name, np.asarray(matrix, dtype=float))
+    tol = 1e-12 * max(float(matrix.max()), -float(matrix.min()))
+    # the one n x n temporary; matrix - matrix.T would add a 64 KB ufunc
+    # buffer for the transposed operand
+    asym = matrix.T.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf is judged below
+        asym -= matrix
+    # NaN makes asym NaN and inf makes tol inf, so this also finds non-finite entries
+    if not max(float(asym.max()), -float(asym.min())) <= tol < np.inf:
+        _check_finite(name, matrix)
+        raise ValueError(f"{name} must be symmetric")
+    return matrix
+
+
+def check_psd_spectrum(w: np.ndarray) -> None:
+    """Raise unless the lowest eigenvalue in w is >= -1e-10 * the largest magnitude."""
+    lo, hi = w.min(), w.max()
+    if not lo >= -1e-10 * max(abs(lo), abs(hi)):
+        raise ValueError("matrix is not positive semidefinite within tolerance")
 
 
 def _check_finite(name: str, value, **bounds: float) -> np.ndarray:
@@ -45,31 +71,25 @@ def _rule(gt=None, ge=None, lt=None, le=None) -> str:
 
 
 def spectral_norm(sym: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    sym = check_square(sym)
+    """Largest absolute eigenvalue of a checked symmetric matrix."""
     return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
 
 
-def psd_sqrt_factor(sym: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric square root F of a PSD matrix, F @ F.T = sym.
+def psd_sqrt_factor(sym: np.ndarray) -> np.ndarray:
+    """Symmetric square root F, F @ F.T = sym, of a matrix that check_symmetric passed.
 
-    Eigenvalues in [-tol * scale, 0) are treated as numerical noise and clamped
-    to zero; anything more negative raises.
+    Its eigenvalues are rooted by clamped_sqrt, so a non-PSD sym raises.
     """
-    sym = check_square(sym)
     w, v = np.linalg.eigh(sym)
-    return (v * clamped_sqrt(w, tol)) @ v.T
+    return (v * clamped_sqrt(w)) @ v.T
 
 
-def clamped_sqrt(w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Square roots of a symmetric matrix's eigenvalues, clamped as in psd_sqrt_factor.
+def clamped_sqrt(w: np.ndarray) -> np.ndarray:
+    """Square roots of a symmetric matrix's eigenvalues; dips check_psd_spectrum allows become 0.
 
     For a diagonal matrix the eigenvalues are its diagonal, and the factor is
     diag(clamped_sqrt(diagonal)).
     """
     w = np.asarray(w, dtype=float)
-    lo, hi = w.min(), w.max()
-    scale = max(abs(lo), abs(hi), 1.0)
-    if not lo >= -tol * scale:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
+    check_psd_spectrum(w)
     return np.sqrt(np.clip(w, 0.0, None))

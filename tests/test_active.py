@@ -372,3 +372,17 @@ def test_loop_memory_does_not_grow_with_iterations():
     # fifteen more records add fifteen designs of n floats each
     assert long - short <= buffer / 2
     assert long <= 7 * buffer
+
+
+def test_first_design_takes_the_budget_contract_of_design_probabilities():
+    # a budget a rounding step above n passed the budget check and then failed
+    # as "p must lie in (0, 1]"
+    model = make_spiked_model(4, 1, 9.0)
+    cfg = ActiveConfig(budget=4 * (1 + 1e-13), batch_size=5, iterations=2)
+    trace = run_active(model.stream(child_rng(0)), cfg)
+    assert trace.records[0].design.tolist() == [1.0] * 4
+    # for m <= n the first design is m / n everywhere, as MaskDistribution.uniform gives
+    for m in (0.3, 1.0, 2.5, 4.0):
+        cfg = ActiveConfig(budget=m, batch_size=5, iterations=1)
+        first = run_active(model.stream(child_rng(0)), cfg).records[0].design
+        assert np.array_equal(first, MaskDistribution.uniform(4, m).p)

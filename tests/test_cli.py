@@ -134,6 +134,18 @@ def test_bound_report(capsys, tmp_path):
     assert "scale_matrix" not in json.loads(stdout)
 
 
+@pytest.mark.parametrize("command, extra", [("bound", []), ("calibrate-gamma", ["--trials", "50"])])
+def test_non_symmetric_sigma_file_is_rejected(capsys, tmp_path, command, extra):
+    # both commands read one triangle of the file and printed a wrong result
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("2,1\n0,2\n")
+    code, stdout, stderr = run_cli(
+        capsys, command, "--sigma", str(sigma), "--p", "0.5,0.5", "--samples", "50", *extra
+    )
+    assert code == 1 and stdout == ""
+    assert stderr == "error: cov must be symmetric\n"
+
+
 @pytest.mark.parametrize("command, flag", [
     ("bound", "--eta"), ("bound", "--gamma"), ("bound", "--q"), ("bound", "--sigma-ratio"),
     ("calibrate-gamma", "--eta"), ("calibrate-gamma", "--q"), ("calibrate-gamma", "--sigma-ratio"),

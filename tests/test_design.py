@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covest.bounds import entrywise_norm, error_scale_matrix
-from covest.design import (
-    _design_from_variances,
-    design_probabilities,
-    kkt_residual,
-    project_box_simplex,
-)
+from covest.design import design_probabilities, kkt_residual, project_box_simplex
 from covest.sampling import MaskDistribution
 
 from helpers import alternating_design, grid_project
@@ -192,14 +187,6 @@ def test_design_errors():
 def test_design_rejects_non_finite_profile(bad):
     with pytest.raises(ValueError, match="variance profile"):
         design_probabilities([bad, 1.0], 1.0)
-
-
-def test_design_from_variances_clamps_negative_diagonal():
-    # the batch loop redesigns from an estimated diagonal, which may dip below 0
-    sol = _design_from_variances(np.array([4.0, -0.5, 1.0]), 1.5, eps=1e-2)
-    assert sol.p.p[1] == pytest.approx(1e-2)
-    assert sol.p.p[0] > sol.p.p[2]
-    assert abs(sol.p.p.sum() - 1.5) <= 1e-8
 
 
 def test_design_scale_norms_prefers_matched_design():

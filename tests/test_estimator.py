@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from covest.estimator import (
     CovarianceEstimate,
+    _reweighted_gram,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -236,3 +237,18 @@ def test_relative_frobenius_error():
         relative_frobenius_error(truth, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         relative_frobenius_error(truth, np.zeros((3, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    count=st.integers(1, 8),
+    p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
+    entries=st.lists(st.floats(-1e100, 1e100), min_size=48, max_size=48),
+)
+def test_reweighted_gram_diagonal_is_nonnegative(n, count, p, entries):
+    # each diagonal entry is a sum of obs_i^2 / p_i, so the batch loop's
+    # variance profile needs no clamp before the redesign
+    rows = np.array(entries[: n * count]).reshape(count, n)
+    gram = _reweighted_gram(rows, np.array(p[:n]))
+    assert np.all(np.diagonal(gram) >= 0)

@@ -221,3 +221,12 @@ def test_pool_workers_reuse_the_parents_source(monkeypatch):
     assert len(calls) == 1
     for key in serial.errors:
         assert np.array_equal(parallel.errors[key], serial.errors[key])
+
+
+def test_spec_accepts_a_floor_of_one():
+    # ActiveConfig and design_probabilities take eps = 1; the spec took only [0, 1)
+    spec = small_spec(eps=1.0, budget_fracs=(1.0,), trials=1)
+    result = run_experiment(spec)
+    assert result.spec.eps == 1.0
+    with pytest.raises(ValueError, match="eps must lie in"):
+        small_spec(eps=1.5)

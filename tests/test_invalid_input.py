@@ -75,7 +75,6 @@ LIBRARY = {
     ("bounds.entrywise_norm", "matrix"): lambda b: entrywise_norm(_with(M, b), 2.0),
     ("bounds.entrywise_norm", "q"): lambda b: entrywise_norm(M, b),
     ("bounds.effective_rank", "cov"): lambda b: effective_rank(_with(M, b)),
-    ("bounds.effective_rank", "tol"): lambda b: effective_rank(M, tol=b),
     ("bounds.error_bound", "scale_norm"): lambda b: error_bound(b, 10, 100, 100.0),
     ("bounds.error_bound", "dim"): lambda b: error_bound(1.0, b, 100, 100.0),
     ("bounds.error_bound", "samples"): lambda b: error_bound(1.0, 10, b, 100.0),

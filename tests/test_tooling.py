@@ -81,3 +81,34 @@ def test_range_checks_reject_nan():
         if isinstance(node, ast.If) and _raises_value_error(node.body) and _bare_ordering(node.test)
     ]
     assert found == []
+
+
+def test_no_tol_parameters():
+    # each tolerance is part of a contract stated once, not a per-call knob
+    found = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "tol" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert found == []
+
+
+def test_covariance_contract_is_stated_only_in_linalg():
+    # symmetry and positive semidefiniteness are judged by linalg.check_symmetric
+    # and linalg.check_psd_spectrum; a second copy drifts from them
+    found = []
+    for path in SOURCES:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None and _raises_value_error([node]):
+                text = " ".join(
+                    c.value for c in ast.walk(node.exc)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                )
+                if "symmetric" in text or "positive semidefinite" in text:
+                    found.append(f"{path.name}:{node.lineno}: {text}")
+    assert SOURCES
+    assert found == []
