@@ -25,7 +25,7 @@ from .estimator import (  # noqa: F401
     merge_estimates,
     relative_frobenius_error,
 )
-from .linalg import _check_finite
+from .linalg import _check_count, _check_finite
 # mask_batch is unused here but stays importable: perfbench/spans.py wraps
 # covest.active.mask_batch and fails when the name is missing
 from .sampling import MaskDistribution, child_rng, draw_mask, mask_batch  # noqa: F401
@@ -45,8 +45,8 @@ class ActiveConfig:
 
     def __post_init__(self):
         _check_finite("budget", self.budget, gt=0)
-        _check_finite("batch_size", self.batch_size, ge=1)
-        _check_finite("iterations", self.iterations, ge=1)
+        object.__setattr__(self, "batch_size", _check_count("batch_size", self.batch_size, ge=1))
+        object.__setattr__(self, "iterations", _check_count("iterations", self.iterations, ge=1))
         _check_finite("eps", self.eps, ge=0, le=1)
 
 
@@ -181,8 +181,8 @@ def run_fixed(oracle, p: MaskDistribution, total: int, truth: np.ndarray | None 
     """
     if oracle.dim != p.n:
         raise ValueError("oracle dimension does not match the design")
-    _check_finite("total", total, ge=1)
-    batch_size = int(total) if batch_size is None else int(_check_finite("batch_size", batch_size, ge=1))
+    total = _check_count("total", total, ge=1)
+    batch_size = total if batch_size is None else _check_count("batch_size", batch_size, ge=1)
     if total % batch_size != 0:
         raise ValueError("total must be a positive multiple of batch_size")
     cfg = ActiveConfig(

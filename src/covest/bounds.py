@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import estimate_cov
-from .linalg import _check_finite, check_psd_spectrum, check_square, check_symmetric, psd_sqrt_factor
+from .linalg import _check_count, _check_finite, check_psd_spectrum, check_square, check_symmetric, psd_sqrt_factor
 from .sampling import MaskDistribution, child_rng, mask_batch
 
 __all__ = [
@@ -99,10 +99,10 @@ def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: fl
     the large-sample regime; the linear branch takes over when samples are few
     relative to the confidence level.
     """
-    _check_finite("samples", samples, ge=1)
+    samples = _check_count("samples", samples, ge=1)
     _check_finite("eta", eta, gt=1)
     _check_finite("gamma", gamma, gt=0)
-    _check_finite("dim", dim, ge=1)
+    dim = _check_count("dim", dim, ge=1)
     _check_finite("scale_norm", scale_norm, ge=0)
     rate = gamma * (2.0 * math.log(dim) + math.log(eta)) / samples
     return float(scale_norm * max(math.sqrt(rate), rate))
@@ -214,9 +214,9 @@ def calibrate_gamma(
     quantile. Calibration, not proof: the guarantee is exact on the simulated
     trials and approximate off them.
     """
-    _check_finite("samples", samples, ge=1)
+    samples = _check_count("samples", samples, ge=1)
     _check_finite("eta", eta, gt=1)
-    _check_finite("trials", trials, ge=1)
+    trials = _check_count("trials", trials, ge=1)
     _check_finite("q", q, ge=1)
     cov = check_symmetric(cov, "cov")
     scale_norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _check_finite, check_symmetric, clamped_sqrt, psd_sqrt_factor, spectral_norm
+from .linalg import _check_count, _check_finite, check_symmetric, clamped_sqrt, psd_sqrt_factor, spectral_norm
 
 __all__ = [
     "SyntheticModel",
@@ -90,12 +90,13 @@ def make_spiked_model(n: int, k: int, spike: float, theta: float = 0.0, seed: in
     heterogeneous variance profile (the regime where nonuniform observation
     budgets pay off) while keeping the spectrum exact.
     """
+    n, k = _check_count("n", n), _check_count("k", k)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n spikes")
     _check_finite("spike", spike, ge=1)  # so it is the top eigenvalue
     rng = np.random.default_rng(seed)
-    values = np.ones(int(n))
-    values[rng.permutation(int(n))[:k]] = float(spike)
+    values = np.ones(n)
+    values[rng.permutation(n)[:k]] = float(spike)
     return SyntheticModel(np.diag(values), theta=theta)
 
 

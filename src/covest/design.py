@@ -110,7 +110,8 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     solving on it moves an entry across a bound, the 2n breakpoints are
     sorted, the segment whose sum brackets m is found by cumulative sums, and
     the pattern at its midpoint is solved (Condat, Math. Prog. 2016). Raises
-    when the budget is infeasible for the box.
+    when the budget is infeasible for the box. This is the checked boundary;
+    design_probabilities calls the kernel _project on inputs it has checked.
     """
     v = _check_finite("v", v)
     if v.ndim != 1 or v.size == 0:
@@ -121,6 +122,13 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     slack = 1e-9 * max(1.0, abs(m))
     if not n * lo - slack <= m <= n * hi + slack:
         raise ValueError(f"budget {m} is infeasible for box [{lo}, {hi}]^{n}")
+    return _project(v, m, lo, hi)
+
+
+def _project(v: np.ndarray, m: float, lo: float, hi: float) -> np.ndarray:
+    # project_box_simplex on a finite nonempty 1-D float v, finite lo <= hi and a
+    # budget within rounding of [n * lo, n * hi]
+    n = v.size
     if m >= n * hi:
         return np.full(n, hi)
     if m <= n * lo:
@@ -223,7 +231,7 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     rho = m / float(s.sum())  # the root when every entry is free
     history = []
     while True:
-        p = project_box_simplex(rho * s, m, lo=eps, hi=1.0)
+        p = _project(rho * s, m, eps, 1.0)  # checked by _check_budget
         history.append(0.5 * float(np.sum((p - rho * s) ** 2)))
         g = rho * s2 - float(s @ p)
         if g < 0:

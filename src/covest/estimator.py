@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_finite, check_symmetric
+from .linalg import _check_count, _check_finite, check_symmetric
 from .sampling import MaskDistribution, MaskedBatch
 
 __all__ = [
@@ -29,10 +29,11 @@ class CovarianceEstimate:
 
     def __post_init__(self):
         matrix = check_symmetric(self.matrix, "matrix")
-        _check_finite("sample_count", self.sample_count, ge=0)
-        if self.sample_count == 0 and np.any(matrix != 0.0):
+        sample_count = _check_count("sample_count", self.sample_count, ge=0)
+        if sample_count == 0 and np.any(matrix != 0.0):
             raise ValueError("an estimate from zero samples must be the zero matrix")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "sample_count", sample_count)
 
     @classmethod
     def zero(cls, n: int) -> "CovarianceEstimate":
@@ -70,7 +71,7 @@ def _reweighted_gram(observed: np.ndarray, p: np.ndarray, out: np.ndarray | None
     """
     observed /= p
     gram = np.matmul(observed.T, observed, out=out)
-    gram[np.diag_indices_from(gram)] *= p
+    gram.flat[::gram.shape[0] + 1] *= p  # the diagonal, in place for any layout
     return gram
 
 

@@ -24,7 +24,7 @@ from .active import ActiveConfig, run_active, run_fixed
 from .bounds import BoundReport, _bound_report, bound_report, effective_rank  # noqa: F401
 from .data import build_empirical_source, load_idx, make_spiked_model
 from .design import design_probabilities
-from .linalg import _check_finite
+from .linalg import _check_count, _check_finite
 from .sampling import MaskDistribution, child_rng, derive_seed
 
 __all__ = [
@@ -116,9 +116,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
         if len(set(self.arms)) != len(self.arms):
             raise ValueError("arms must be distinct")
-        _check_finite("trials", self.trials, ge=1)
-        _check_finite("batch_size", self.batch_size, ge=1)
-        _check_finite("iterations", self.iterations, ge=1)
+        for count in ("trials", "batch_size", "iterations"):
+            object.__setattr__(self, count, _check_count(count, getattr(self, count), ge=1))
         _check_finite("eps", self.eps, ge=0, le=1)
         needs_budget = [a for a in self.arms if a != "full"]
         if needs_budget and not self.budget_fracs:

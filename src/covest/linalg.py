@@ -7,13 +7,15 @@ import numpy as np
 
 
 def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """matrix as a finite, square 2-D float array; error messages call it name."""
+    """matrix as a finite, nonempty, square 2-D float array; error messages call it name."""
     return _square(name, _check_finite(name, matrix))
 
 
 def _square(name: str, matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"{name} must be a square 2-D array, got shape {matrix.shape}")
+    if matrix.size == 0:
+        raise ValueError(f"{name} must be nonempty, got shape {matrix.shape}")
     return matrix
 
 
@@ -59,6 +61,14 @@ def _check_finite(name: str, value, **bounds: float) -> np.ndarray:
     bad = x[tuple(index)]
     rule = "be finite" if np.isinf(bad) or not bounds else _rule(**bounds)
     raise ValueError(f"{name} must {rule}, got {bad}" + (f" at {index.tolist()}" if index.size else ""))
+
+
+def _check_count(name: str, value, **bounds: float) -> int:
+    """_check_finite for one whole number: value as an int, else ValueError naming name."""
+    x = _check_finite(name, value, **bounds)
+    if x.ndim or not float(x).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(x)
 
 
 def _rule(gt=None, ge=None, lt=None, le=None) -> str:

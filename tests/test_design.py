@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covest import design, linalg, sampling
 from covest.bounds import entrywise_norm, error_scale_matrix
 from covest.design import design_probabilities, kkt_residual, project_box_simplex
 from covest.sampling import MaskDistribution
@@ -350,3 +351,23 @@ def test_flat_profile_is_exactly_uniform_property(n, level, where):
     assert np.all(sol.p.p == sol.p.p[0])
     assert sol.p.p[0] == min(m / n, 1.0)
     assert sol.iterations == 0 and sol.objective_history == () and sol.converged
+
+
+@pytest.mark.parametrize("diag, m, eps, projections", [
+    ([4.0, 1.0], 1.0, 1e-3, 1),
+    ([0.001, 12.884, 40.079, 1.121, 2.168, 649.074, 0.076, 0.001], 0.79, 0.05, 4),
+])
+def test_design_checks_its_inputs_once_per_solve(monkeypatch, diag, m, eps, projections):
+    # the profile, eps and the budget, then p in MaskDistribution: the solver's
+    # projections run on checked values, so the count does not grow with them
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return linalg._check_finite(*args, **kwargs)
+
+    monkeypatch.setattr(design, "_check_finite", counting)
+    monkeypatch.setattr(sampling, "_check_finite", counting)
+    sol = design_probabilities(diag, m, eps=eps)
+    assert sol.iterations == projections
+    assert sorted(calls) == ["budget", "eps", "p", "variance profile"]

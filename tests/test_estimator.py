@@ -252,3 +252,24 @@ def test_reweighted_gram_diagonal_is_nonnegative(n, count, p, entries):
     rows = np.array(entries[: n * count]).reshape(count, n)
     gram = _reweighted_gram(rows, np.array(p[:n]))
     assert np.all(np.diagonal(gram) >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    count=st.integers(1, 8),
+    p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
+    entries=st.lists(st.floats(-1e3, 1e3), min_size=48, max_size=48),
+    order=st.sampled_from([None, "C", "F"]),
+)
+def test_reweighted_gram_scales_the_diagonal_in_place(n, count, p, entries, order):
+    # the strided diagonal view does the multiplies np.diag_indices_from did,
+    # on a fresh result and on a given out of either memory layout
+    rows = np.array(entries[: n * count]).reshape(count, n)
+    p = np.array(p[:n])
+    expected = np.matmul((rows / p).T, rows / p, out=None if order is None else np.empty((n, n), order=order))
+    expected[np.diag_indices_from(expected)] *= p
+    out = None if order is None else np.empty((n, n), order=order)
+    gram = _reweighted_gram(rows.copy(), p, out=out)
+    assert out is None or gram is out
+    assert gram.tobytes() == expected.tobytes()

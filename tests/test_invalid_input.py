@@ -149,6 +149,35 @@ NAMES = {
 }
 
 
+# (callable, parameter): a call with the given count in that parameter. Counts
+# are whole numbers: a non-integral one raises instead of being truncated or
+# used as a float
+COUNTS = {
+    ("active.ActiveConfig", "batch_size"): lambda c: ActiveConfig(**{**CFG, "batch_size": c}),
+    ("active.ActiveConfig", "iterations"): lambda c: ActiveConfig(**{**CFG, "iterations": c}),
+    ("active.run_fixed", "total"): lambda c: run_fixed(_stream(), P, c),
+    ("active.run_fixed", "batch_size"): lambda c: run_fixed(_stream(), P, 4, batch_size=c),
+    ("bounds.error_bound", "dim"): lambda c: error_bound(1.0, c, 100, 100.0),
+    ("bounds.error_bound", "samples"): lambda c: error_bound(1.0, 10, c, 100.0),
+    ("bounds.bound_report", "samples"): lambda c: bound_report(M, P, c, 100.0),
+    ("bounds.calibrate_gamma", "samples"): lambda c: calibrate_gamma(M, P, c, 10.0, trials=3),
+    ("bounds.calibrate_gamma", "trials"): lambda c: calibrate_gamma(M, P, 20, 10.0, trials=c),
+    ("data.make_spiked_model", "n"): lambda c: make_spiked_model(c, 1, 9.0),
+    ("data.make_spiked_model", "k"): lambda c: make_spiked_model(4, c, 9.0),
+    ("estimator.CovarianceEstimate", "sample_count"): lambda c: CovarianceEstimate(M, c),
+    ("experiment.ExperimentSpec", "batch_size"): lambda c: _spec(batch_size=c),
+    ("experiment.ExperimentSpec", "iterations"): lambda c: _spec(iterations=c),
+    ("experiment.ExperimentSpec", "trials"): lambda c: _spec(trials=c),
+}
+
+
+@pytest.mark.parametrize("key", sorted(COUNTS), ids=":".join)
+def test_counts_must_be_integers(key):
+    with pytest.raises(ValueError, match=rf"^{key[1]} must be an integer, got 2.5$"):
+        COUNTS[key](2.5)
+    COUNTS[key](4.0)  # an integral float is the count it names
+
+
 def _resolve(qualname):
     module, *path = qualname.split(".")
     obj = globals()[module]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covest import linalg
 from covest.bounds import bound_report, calibrate_gamma, effective_rank, error_scale_norm_bound
 from covest.data import SyntheticModel
 from covest.estimator import CovarianceEstimate
@@ -166,3 +167,30 @@ def test_check_symmetric():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=r"^s must be finite, got .* at \[1, 0\]$"):
             check_symmetric(np.array([[1.0, 0.0], [bad, 1.0]]), "s")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda m: check_square(m, "s"), "s"),
+    (lambda m: check_symmetric(m, "s"), "s"),
+    (effective_rank, "cov"),
+    (SyntheticModel, "base_cov"),
+    (lambda m: CovarianceEstimate(m, 1), "matrix"),
+], ids=["check_square", "check_symmetric", "effective_rank", "SyntheticModel", "CovarianceEstimate"])
+def test_empty_matrix_is_rejected_by_name(call, name):
+    # a 0 x 0 matrix is square, and numpy's reductions over it raised a
+    # "zero-size array" error that named no input
+    with pytest.raises(ValueError, match=rf"^{name} must be nonempty, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
+def test_check_count():
+    _check_count = linalg._check_count
+    assert _check_count("k", 4.0) == 4 and type(_check_count("k", np.int64(3), ge=1)) is int
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+        _check_count("k", 2.5)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got \[1, 2\]$"):
+        _check_count("k", [1, 2])
+    with pytest.raises(ValueError, match="^k must be finite, got nan$"):
+        _check_count("k", np.nan)
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, inf\), got 0.0$"):
+        _check_count("k", 0, ge=1)

@@ -112,3 +112,21 @@ def test_covariance_contract_is_stated_only_in_linalg():
                     found.append(f"{path.name}:{node.lineno}: {text}")
     assert SOURCES
     assert found == []
+
+
+_COUNTS = {"trials", "samples", "batch_size", "iterations", "total", "sample_count", "dim"}
+
+
+def test_counts_are_checked_as_integers():
+    # _check_finite lets 2.5 through as a count; linalg._check_count rejects it
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "_check_finite"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value in _COUNTS
+    ]
+    assert found == []
