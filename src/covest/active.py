@@ -9,6 +9,7 @@ dependent) design, the merged estimate stays unbiased at every iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +71,24 @@ class IterationRecord:
 
 @dataclass
 class ActiveTrace:
-    """Per-iteration records plus the design the loop would use next."""
+    """Per-iteration records plus the design the loop would use next.
+
+    final_estimate, the running estimate after the last batch, is built from
+    the loop's running sum on first read and cached; a caller that never reads
+    it pays for no n x n divide or symmetry check.
+    """
 
     records: list = field(default_factory=list)
     final_design: np.ndarray | None = None
-    final_estimate: CovarianceEstimate | None = None
+    # the running sum S behind final_estimate = S / samples
+    _gram_sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def final_estimate(self) -> CovarianceEstimate | None:
+        if self._gram_sum is None:
+            return None
+        samples = self.records[-1].sample_count
+        return CovarianceEstimate(self._gram_sum / samples, samples)
 
     def errors(self) -> np.ndarray:
         """Relative errors by iteration (NaN where no truth was supplied)."""
@@ -96,7 +110,8 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
 
     S / samples is the merged estimate under merge_estimates' sample-count
     rule, and the redesign reads only its diagonal, so a step costs one matmul
-    and one n x n add (plus a divide, subtract and norm to score a truth). The
+    and one n x n add (plus a divide, subtract and norm to score a truth). S
+    stays on the trace, for final_estimate to divide on first read. The
     trace equals composing estimate_cov, merge_estimates and
     relative_frobenius_error to rounding, without their n x n temporaries.
     """
@@ -149,7 +164,7 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
             p = design.design_probabilities(np.diagonal(gram_sum) / samples, cfg.budget, cfg.eps).p
             _check_reweighting(p.p)
     trace.final_design = p.p
-    trace.final_estimate = CovarianceEstimate(gram_sum / samples, samples)
+    trace._gram_sum = gram_sum
     return trace
 
 

@@ -76,7 +76,7 @@ class GaussianStream:
         self.dim = model.dim
 
     def draw(self, count: int) -> np.ndarray:
-        g = self._rng.standard_normal((int(count), self.dim))
+        g = self._rng.standard_normal((_check_count("count", count, ge=0), self.dim))
         if self._root is not None:
             g *= self._root
             return g
@@ -147,7 +147,7 @@ class EpochStream:
         self.dim = source.dim
 
     def draw(self, count: int) -> np.ndarray:
-        count = int(count)
+        count = _check_count("count", count, ge=0)
         picked = np.empty(count, dtype=int)
         filled = 0
         while filled < count:

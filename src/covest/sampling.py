@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_finite
+from .linalg import _check_count, _check_finite
 
 __all__ = [
     "MaskDistribution",
@@ -74,7 +74,8 @@ class MaskDistribution:
     @classmethod
     def uniform(cls, n: int, m: float) -> "MaskDistribution":
         """Spread a budget of m evenly: every coordinate observed w.p. m/n."""
-        return cls(np.full(int(n), _check_finite("m", m, gt=0) / n))
+        n = _check_count("n", n, ge=1)
+        return cls(np.full(n, _check_finite("m", m, gt=0) / n))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import tracemalloc
 
+import covest.active
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.data import make_spiked_model
 from covest.design import design_probabilities
-from covest.estimator import CovarianceEstimate, estimate_cov, merge_estimates, relative_frobenius_error
-from covest.sampling import MaskDistribution, child_rng, derive_seed, mask_batch
+from covest.estimator import CovarianceEstimate, _reweighted_gram, estimate_cov, merge_estimates, relative_frobenius_error
+from covest.sampling import MaskDistribution, child_rng, derive_seed, draw_mask, mask_batch
 
 
 def test_config_validation():
@@ -156,6 +158,32 @@ def test_full_budget_matches_fixed_run_bitwise():
     assert np.array_equal(active.final_estimate.matrix, fixed.final_estimate.matrix)
     assert np.array_equal(active.errors(), fixed.errors())
     assert np.array_equal(active.designs(), fixed.designs())
+
+
+def test_final_estimate_is_built_on_first_read(monkeypatch):
+    built = []
+
+    class Counted(CovarianceEstimate):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(covest.active, "CovarianceEstimate", Counted)
+    model = make_spiked_model(4, 1, 10.0, seed=3)
+    p = MaskDistribution.uniform(4, 2.0)
+    trace = run_fixed(model.stream(child_rng(5)), p, total=12, truth=model.sigma,
+                      batch_size=6, seed=7)
+    assert built == []
+    first = trace.final_estimate
+    assert trace.final_estimate is first and built == [first]
+    # the running sum S, rebuilt from the same rows and masks
+    xs = model.stream(child_rng(5)).draw(12)
+    gram_sum = np.zeros((4, 4))
+    for t in range(2):
+        masks = draw_mask(p, child_rng(7, t), size=6)
+        gram_sum += _reweighted_gram(masks * xs[6 * t:6 * (t + 1)], p.p)
+    assert np.array_equal(first.matrix, gram_sum / 12)
+    assert first.sample_count == 12
 
 
 def test_run_fixed_validation():

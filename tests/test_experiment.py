@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import covest.experiment
+from covest.active import ActiveConfig, run_active, run_fixed
 from covest.bounds import bound_report, effective_rank, entrywise_norm, error_scale_matrix
 from covest.experiment import (
     ARMS,
@@ -15,8 +16,8 @@ from covest.experiment import (
     export_csv,
     run_experiment,
 )
-
-from covest.sampling import MaskDistribution
+from covest.design import design_probabilities
+from covest.sampling import MaskDistribution, child_rng, derive_seed
 
 from helpers import idx_bytes
 
@@ -230,3 +231,103 @@ def test_spec_accepts_a_floor_of_one():
     assert result.spec.eps == 1.0
     with pytest.raises(ValueError, match="eps must lie in"):
         small_spec(eps=1.5)
+
+
+class _CountingSource:
+    """A source whose streams count their draw calls in a shared list."""
+
+    def __init__(self, source, draws):
+        self._source = source
+        self._draws = draws
+        self.dim = source.dim
+        self.sigma = source.sigma
+
+    def stream(self, rng):
+        stream = self._source.stream(rng)
+        draws = self._draws
+
+        class Counting:
+            dim = stream.dim
+
+            def draw(self, count):
+                draws.append(count)
+                return stream.draw(count)
+
+        return Counting()
+
+
+def test_each_trial_draws_its_rows_once(monkeypatch):
+    build = covest.experiment._build_source
+    draws = []
+    monkeypatch.setattr(covest.experiment, "_build_source",
+                        lambda spec: _CountingSource(build(spec), draws))
+    spec = small_spec(budget_fracs=(0.25, 0.5))  # 7 arm tasks per trial
+    run_experiment(spec, jobs=1)
+    assert draws == [spec.batch_size] * (spec.trials * spec.iterations)
+
+
+def _idx_files(tmp_path):
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, size=(40, 3, 3)).astype(np.uint8)
+    labels = np.repeat(np.arange(2), 20).astype(np.uint8)
+    (tmp_path / "images.idx").write_bytes(idx_bytes(images))
+    (tmp_path / "labels.idx").write_bytes(idx_bytes(labels))
+    return str(tmp_path / "images.idx"), str(tmp_path / "labels.idx")
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "empirical"])
+def test_arms_equal_standalone_runs_on_their_own_streams(tmp_path, kind):
+    # an empirical stream interleaves permutation and noise draws, so replayed
+    # batches must come from the same per-batch calls an arm's own stream makes
+    spec = small_spec(budget_fracs=(0.25, 0.5), iterations=4, trials=2)
+    if kind == "empirical":
+        images, labels = _idx_files(tmp_path)
+        # 20 rows, drawn 6 at a time: the permutation is redrawn mid-batch
+        spec = small_spec(source=EmpiricalSourceSpec(images=images, labels=labels, digit=1,
+                                                     theta=0.05),
+                          budget_fracs=(0.25, 0.5), iterations=4, trials=2)
+    result = run_experiment(spec)
+    source = covest.experiment._build_source(spec)
+    n = source.dim
+    for arm, frac in result.errors:
+        frac_index = 0 if arm == "full" else spec.budget_fracs.index(frac)
+        designs = []
+        for r in range(spec.trials):
+            stream = source.stream(child_rng(spec.seed, 1, r))
+            seed = derive_seed(spec.seed, 2, r, ARMS.index(arm), frac_index)
+            if arm == "active":
+                cfg = ActiveConfig(budget=frac * n, batch_size=spec.batch_size,
+                                   iterations=spec.iterations, eps=spec.eps, seed=seed)
+                trace = run_active(stream, cfg, truth=source.sigma)
+            else:
+                p = (design_probabilities(np.diag(source.sigma), frac * n, spec.eps).p
+                     if arm == "designed" else MaskDistribution.uniform(n, frac * n))
+                trace = run_fixed(stream, p, spec.total_samples, truth=source.sigma,
+                                  batch_size=spec.batch_size, seed=seed)
+            assert np.array_equal(result.errors[(arm, frac)][r], trace.errors()), (arm, frac, r)
+            designs.append(trace.final_design)
+        assert np.array_equal(result.final_designs[(arm, frac)], np.stack(designs).mean(axis=0))
+
+
+def test_replayed_rows_are_read_only(monkeypatch):
+    writeable = []
+    real = covest.experiment.run_fixed
+
+    def spy(oracle, *args, **kwargs):
+        rows = oracle.draw(kwargs["batch_size"])
+        writeable.append(rows.flags.writeable)
+        return real(covest.experiment._Replay([rows], oracle.dim), *args, **kwargs)
+
+    monkeypatch.setattr(covest.experiment, "run_fixed", spy)
+    run_experiment(small_spec(arms=("uniform",), iterations=1, trials=1))
+    assert writeable == [False]
+
+
+def test_replay_raises_on_a_batch_it_did_not_record():
+    rows = np.zeros((3, 2))
+    with pytest.raises(RuntimeError, match="no recorded batch of 4 rows"):
+        covest.experiment._Replay([rows], 2).draw(4)
+    replay = covest.experiment._Replay([rows], 2)
+    assert replay.draw(3) is rows
+    with pytest.raises(RuntimeError, match="no recorded batch of 3 rows"):
+        replay.draw(3)

@@ -60,6 +60,15 @@ def _spec(**overrides):
     return ExperimentSpec(**{**fields, **overrides})
 
 
+SYNTHETIC = {"kind": "synthetic", "n": 4, "spikes": 1, "spike": 9.0}
+EMPIRICAL = {"kind": "empirical", "images": "a.idx", "labels": "b.idx", "digit": 3}
+
+
+def _config(source):
+    """A valid experiment config with the given source fields."""
+    return {**_spec().to_dict(), "source": source}
+
+
 # (callable, parameter): a call with the bad value in that parameter
 LIBRARY = {
     ("active.ActiveConfig", "budget"): lambda b: ActiveConfig(**{**CFG, "budget": b}),
@@ -122,6 +131,9 @@ LIBRARY = {
     ("estimator.relative_frobenius_error", "truth"): lambda b: relative_frobenius_error(M, _with(M, b)),
     ("experiment.SyntheticSourceSpec", "spike"): lambda b: SyntheticSourceSpec(n=4, spikes=1, spike=b),
     ("experiment.SyntheticSourceSpec", "theta"): lambda b: SyntheticSourceSpec(n=4, spikes=1, spike=9.0, theta=b),
+    ("experiment.SyntheticSourceSpec", "n"): lambda b: SyntheticSourceSpec(n=b, spikes=1, spike=9.0),
+    ("experiment.SyntheticSourceSpec", "spikes"): lambda b: SyntheticSourceSpec(n=4, spikes=b, spike=9.0),
+    ("experiment.EmpiricalSourceSpec", "digit"): lambda b: EmpiricalSourceSpec("a.idx", "b.idx", b),
     ("experiment.EmpiricalSourceSpec", "theta"): lambda b: EmpiricalSourceSpec("a.idx", "b.idx", 3, theta=b),
     ("experiment.ExperimentSpec", "budget_fracs"): lambda b: _spec(budget_fracs=(0.5, b)),
     ("experiment.ExperimentSpec", "batch_size"): lambda b: _spec(batch_size=b),
@@ -168,6 +180,17 @@ COUNTS = {
     ("experiment.ExperimentSpec", "batch_size"): lambda c: _spec(batch_size=c),
     ("experiment.ExperimentSpec", "iterations"): lambda c: _spec(iterations=c),
     ("experiment.ExperimentSpec", "trials"): lambda c: _spec(trials=c),
+    ("experiment.ExperimentSpec.from_dict", "n"): lambda c: ExperimentSpec.from_dict(_config({**SYNTHETIC, "n": c})),
+    ("experiment.ExperimentSpec.from_dict", "spikes"): lambda c: ExperimentSpec.from_dict(
+        _config({**SYNTHETIC, "spikes": c})),
+    ("experiment.ExperimentSpec.from_dict", "digit"): lambda c: ExperimentSpec.from_dict(
+        _config({**EMPIRICAL, "digit": c})),
+    ("experiment.SyntheticSourceSpec", "n"): lambda c: SyntheticSourceSpec(n=c, spikes=1, spike=9.0),
+    ("experiment.SyntheticSourceSpec", "spikes"): lambda c: SyntheticSourceSpec(n=4, spikes=c, spike=9.0),
+    ("experiment.EmpiricalSourceSpec", "digit"): lambda c: EmpiricalSourceSpec("a.idx", "b.idx", c),
+    ("data.GaussianStream.draw", "count"): lambda c: _stream().draw(c),
+    ("data.EpochStream.draw", "count"): lambda c: EmpiricalSource(ROWS).stream(child_rng(0)).draw(c),
+    ("sampling.MaskDistribution.uniform", "n"): lambda c: MaskDistribution.uniform(c, 1.0),
 }
 
 
