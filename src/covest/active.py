@@ -21,7 +21,9 @@ from .estimator import (  # noqa: F401
     CovarianceEstimate,
     _check_reweighting,
     _check_truth,
-    _reweighted_gram,
+    _fill_lower,
+    _fold_gram,
+    _panel_buffer,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -75,12 +77,17 @@ class ActiveTrace:
 
     final_estimate, the running estimate after the last batch, is built from
     the loop's running sum on first read and cached; a caller that never reads
-    it pays for no n x n divide or symmetry check.
+    it pays for no n x n divide, mirror or symmetry check. The trace holds
+    that one n x n sum; while it ran, the loop also held one panel buffer of
+    at most 128 x n floats (0.8 MB at n = 784). Each rel_error is scored panel
+    by panel: for n <= 128 it equals relative_frobenius_error of the merged
+    estimate bit for bit, above that to a few ulp x n.
     """
 
     records: list = field(default_factory=list)
     final_design: np.ndarray | None = None
-    # the running sum S behind final_estimate = S / samples
+    # the running sum S behind final_estimate = S / samples, kept current on
+    # and above its diagonal blocks only
     _gram_sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -88,7 +95,7 @@ class ActiveTrace:
         if self._gram_sum is None:
             return None
         samples = self.records[-1].sample_count
-        return CovarianceEstimate(self._gram_sum / samples, samples)
+        return CovarianceEstimate(_fill_lower(self._gram_sum) / samples, samples)
 
     def errors(self) -> np.ndarray:
         """Relative errors by iteration (NaN where no truth was supplied)."""
@@ -109,11 +116,16 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
     """The batch loop, with one running sum S of reweighted Gram matrices.
 
     S / samples is the merged estimate under merge_estimates' sample-count
-    rule, and the redesign reads only its diagonal, so a step costs one matmul
-    and one n x n add (plus a divide, subtract and norm to score a truth). S
-    stays on the trace, for final_estimate to divide on first read. The
-    trace equals composing estimate_cov, merge_estimates and
-    relative_frobenius_error to rounding, without their n x n temporaries.
+    rule, and the redesign reads only its diagonal. Each batch is folded into
+    S by estimator._fold_gram in row panels of its upper triangle, and each
+    panel is scored against truth while it is in cache, so a step touches
+    each entry of S once. The loop holds S plus one panel buffer of at most
+    128 x n floats (0.8 MB at n = 784) and the batch's rows. S stays on the
+    trace, for final_estimate to mirror and divide on first read. The trace
+    equals composing estimate_cov, merge_estimates and
+    relative_frobenius_error to rounding, without their n x n temporaries;
+    for n <= 128 (one panel) rel_error equals relative_frobenius_error of the
+    merged estimate bit for bit, above that to a few ulp x n.
     """
     n = p0.n
     if truth is not None:
@@ -121,7 +133,7 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
     p = p0
     _check_reweighting(p.p)
     gram_sum = np.zeros((n, n))  # the running sum S
-    work = np.empty((n, n))  # the batch's Gram matrix, then the error of the mean
+    buffer = _panel_buffer(n)
     samples = 0
     trace = ActiveTrace()
     for t in range(cfg.iterations):
@@ -138,16 +150,13 @@ def _run_batches(oracle, p0: MaskDistribution, cfg: ActiveConfig, truth, adapt: 
             raise ValueError("oracle returned non-finite values (NaN or inf)")
         masks = draw_mask(p, rng, size=count)
         observed_count = int(masks.sum())
-        _reweighted_gram(np.multiply(masks, xs, out=masks), p.p, out=work)
-        gram_sum += work
         samples += count
-        batch_estimate = CovarianceEstimate(work / count, count) if record_matrices else None
-        merged = CovarianceEstimate(gram_sum / samples, samples) if record_matrices else None
-        rel = None
-        if truth is not None:
-            np.divide(gram_sum, samples, out=work)
-            work -= truth
-            rel = float(np.linalg.norm(work) / truth_norm)
+        batch = np.zeros((n, n)) if record_matrices else None
+        sq = _fold_gram(np.multiply(masks, xs, out=masks), p.p, gram_sum, buffer,
+                        batch=batch, truth=truth, samples=samples)
+        batch_estimate = CovarianceEstimate(_fill_lower(batch) / count, count) if record_matrices else None
+        merged = CovarianceEstimate(_fill_lower(gram_sum) / samples, samples) if record_matrices else None
+        rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
         trace.records.append(
             IterationRecord(
                 iteration=t,

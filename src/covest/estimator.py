@@ -63,16 +63,70 @@ def _check_reweighting(p: np.ndarray) -> None:
         raise ValueError("entrywise inverse requires strictly positive entries: 1/(p_i p_j) overflows")
 
 
-def _reweighted_gram(observed: np.ndarray, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """obs^T obs times the inverse mask second moment, without an n x n weight matrix.
+# rows of the running sum folded per BLAS call: a 112 x 784 panel is 0.7 MB,
+# small enough to score while it is still in cache
+_PANEL = 128
+
+
+def _panels(n: int) -> list:
+    """Equal row panels [i0, i1) of at most _PANEL rows, covering range(n)."""
+    count = -(-n // _PANEL)
+    bounds = [i * n // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _panel_buffer(n: int) -> np.ndarray:
+    """Scratch for _fold_gram: the widest panel, at most _PANEL x n floats."""
+    return np.empty(_panels(n)[0][1] * n)
+
+
+def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer: np.ndarray,
+               batch: np.ndarray | None = None, truth: np.ndarray | None = None,
+               samples: int = 1) -> float:
+    """Add the batch's reweighted Gram matrix to the upper triangle of gram_sum.
 
     With a = obs/p (observed is scaled in place), a^T a holds obs_i obs_j /
-    (p_i p_j); its diagonal times p holds obs_i^2 / p_i. a^T a is exactly symmetric.
+    (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Row panel [i0, i1)
+    is a[:, i0:i1]^T a[:, i0:], computed in buffer and added to
+    gram_sum[i0:i1, i0:], so each entry on or above the diagonal blocks is
+    touched once; _fill_lower completes the matrix where a caller reads it
+    whole. batch, when given, receives the same panels. With truth, each panel
+    of gram_sum / samples is scored while it is in cache, and the squared
+    Frobenius error against truth is returned (0.0 without truth): the
+    panel's part right of its diagonal block stands for itself and its
+    mirror image. For n <= _PANEL there is one panel, and the calls are
+    a^T a (syrk) and one dot.
     """
     observed /= p
-    gram = np.matmul(observed.T, observed, out=out)
-    gram.flat[::gram.shape[0] + 1] *= p  # the diagonal, in place for any layout
-    return gram
+    n = p.shape[0]
+    sq = 0.0
+    for i0, i1 in _panels(n):
+        rows, width = i1 - i0, n - i0
+        panel = np.matmul(observed[:, i0:i1].T, observed[:, i0:],
+                          out=buffer[:rows * width].reshape(rows, width))
+        panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
+        if batch is not None:
+            batch[i0:i1, i0:] = panel
+        block = gram_sum[i0:i1, i0:]
+        block += panel
+        if truth is not None:
+            np.divide(block, samples, out=panel)
+            panel -= truth[i0:i1, i0:]
+            flat = panel.reshape(-1)
+            total = flat.dot(flat)
+            if rows == width:
+                sq += total
+            else:
+                diag_block = panel[:, :rows]
+                sq += 2.0 * total - np.einsum("ij,ij->", diag_block, diag_block)
+    return sq
+
+
+def _fill_lower(matrix: np.ndarray) -> np.ndarray:
+    """Mirror the panels' blocks right of the diagonal blocks below them, in place."""
+    for i0, i1 in _panels(matrix.shape[0])[:-1]:
+        matrix[i1:, i0:i1] = matrix[i0:i1, i1:].T
+    return matrix
 
 
 def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
@@ -84,14 +138,17 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     exactly cancels the expected attenuation from masking, so the estimate is
     unbiased for the true covariance no matter how few coordinates each sample
     reveals. The price is that the output is symmetric but need not be
-    positive semidefinite.
+    positive semidefinite. The product is formed by _fold_gram, the batch
+    loop's kernel, in row panels of at most 128 x n floats, and mirrored once.
     """
     observed = _stack_observed(samples, p.n)
     count = observed.shape[0]
     if count == 0:
         raise ValueError("cannot estimate from an empty sample collection")
     _check_reweighting(p.p)
-    matrix = _reweighted_gram(observed.copy(), p.p)
+    matrix = np.zeros((p.n, p.n))
+    _fold_gram(observed.copy(), p.p, matrix, _panel_buffer(p.n))
+    _fill_lower(matrix)
     matrix /= count
     return CovarianceEstimate(matrix=matrix, sample_count=count)
 

@@ -262,6 +262,7 @@ def _run_trial(source, designed: dict, spec: ExperimentSpec, r: int) -> dict:
                               batch_size=spec.batch_size, seed=arm_seed,
                               record_matrices=False)
         out[(arm, frac)] = (trace.errors(), trace.final_design)
+        del trace  # its running sum is n x n; free it before the next arm allocates one
     return out
 
 

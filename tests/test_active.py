@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.data import make_spiked_model
 from covest.design import design_probabilities
-from covest.estimator import CovarianceEstimate, _reweighted_gram, estimate_cov, merge_estimates, relative_frobenius_error
+from covest.estimator import (
+    _PANEL,
+    CovarianceEstimate,
+    _fold_gram,
+    _panel_buffer,
+    _panels,
+    estimate_cov,
+    merge_estimates,
+    relative_frobenius_error,
+)
 from covest.sampling import MaskDistribution, child_rng, derive_seed, draw_mask, mask_batch
 
 
@@ -178,10 +187,10 @@ def test_final_estimate_is_built_on_first_read(monkeypatch):
     assert trace.final_estimate is first and built == [first]
     # the running sum S, rebuilt from the same rows and masks
     xs = model.stream(child_rng(5)).draw(12)
-    gram_sum = np.zeros((4, 4))
+    gram_sum, buffer = np.zeros((4, 4)), _panel_buffer(4)
     for t in range(2):
         masks = draw_mask(p, child_rng(7, t), size=6)
-        gram_sum += _reweighted_gram(masks * xs[6 * t:6 * (t + 1)], p.p)
+        _fold_gram(masks * xs[6 * t:6 * (t + 1)], p.p, gram_sum, buffer)
     assert np.array_equal(first.matrix, gram_sum / 12)
     assert first.sample_count == 12
 
@@ -274,7 +283,8 @@ def _close(actual, expected, n):
 def _assert_trace_matches(trace, truth, steps, estimate, final_design):
     # the loop sums reweighted Gram matrices and divides once, where the
     # chain merges running means, so the matrices and designs agree to
-    # rounding; each error is scored bitwise on the loop's own merged matrix
+    # rounding; each error is scored on the loop's own merged matrix, bitwise
+    # in one panel and to rounding when the loop scores panel by panel
     n = estimate.dim
     assert len(trace) == len(steps)
     for rec, (design, batch_estimate, merged, rel, observed) in zip(trace.records, steps):
@@ -287,8 +297,12 @@ def _assert_trace_matches(trace, truth, steps, estimate, final_design):
         assert rec.observed_count == observed
         if truth is None:
             assert rec.rel_error is None and np.isnan(rel)
-        else:
+        elif n <= _PANEL:
             assert rec.rel_error == relative_frobenius_error(rec.merged, truth)
+        else:
+            expected = relative_frobenius_error(rec.merged, truth)
+            assert abs(rec.rel_error - expected) <= _ULPS * n * _EPS * expected
+    assert np.array_equal(trace.final_estimate.matrix, trace.final_estimate.matrix.T)
     assert _close(trace.final_estimate.matrix, estimate.matrix, n)
     assert trace.final_estimate.sample_count == estimate.sample_count
     assert _close(trace.final_design, final_design, n)
@@ -347,6 +361,41 @@ def test_fixed_loop_matches_reference_chain_property(n, batch_size, iterations, 
     _assert_trace_matches(trace, truth, *reference)
 
 
+def test_multi_panel_split_is_uneven():
+    # n = 301 folds in three row panels of 100, 100 and 101 rows
+    assert _panels(301) == [(0, 100), (100, 200), (200, 301)]
+    assert _panels(_PANEL) == [(0, _PANEL)]
+
+
+@pytest.mark.parametrize("adapt", [True, False])
+def test_multi_panel_loop_matches_reference_chain(adapt):
+    n, batch_size, iterations, seed = 301, 40, 3, 4
+    model = make_spiked_model(n, 3, 30.0, theta=0.1, seed=seed)
+    if adapt:
+        cfg = ActiveConfig(budget=80.0, batch_size=batch_size, iterations=iterations, seed=seed)
+        trace = run_active(model.stream(child_rng(seed, 5)), cfg, truth=model.sigma, record_matrices=True)
+        p = MaskDistribution.uniform(n, 80.0)
+    else:
+        p = design_probabilities(np.diag(model.sigma), 80.0).p
+        trace = run_fixed(model.stream(child_rng(seed, 5)), p, total=batch_size * iterations,
+                          truth=model.sigma, batch_size=batch_size, seed=seed, record_matrices=True)
+    reference = _reference_chain(model.stream(child_rng(seed, 5)), p, iterations, batch_size, seed,
+                                 model.sigma, adapt=adapt, budget=80.0)
+    _assert_trace_matches(trace, model.sigma, *reference)
+
+
+def test_multi_panel_estimate_matches_plain_gram():
+    n = 301
+    p = design_probabilities(np.linspace(1.0, 4.0, n), 90.0).p
+    batch = mask_batch(_DenseStream(n, 6).draw(30), p, child_rng(7))
+    a = batch.observed / p.p
+    expected = a.T @ a
+    expected[np.diag_indices(n)] *= p.p
+    estimate = estimate_cov(batch, p)
+    assert np.array_equal(estimate.matrix, estimate.matrix.T)
+    assert _close(estimate.matrix, expected / 30, n)
+
+
 def test_records_keep_no_matrices_by_default():
     model = make_spiked_model(4, 1, 9.0, seed=1)
     cfg = ActiveConfig(budget=2.0, batch_size=5, iterations=3, seed=2)
@@ -386,7 +435,7 @@ def _traced_peak(run):
 
 
 def test_loop_memory_does_not_grow_with_iterations():
-    # the loop keeps a running sum and one work buffer; estimates and their
+    # the loop keeps a running sum and one panel buffer; estimates and their
     # validation add a few transient n x n arrays, never one per batch
     n = 200
     buffer = n * n * 8
@@ -400,6 +449,21 @@ def test_loop_memory_does_not_grow_with_iterations():
     # fifteen more records add fifteen designs of n floats each
     assert long - short <= buffer / 2
     assert long <= 7 * buffer
+
+
+def test_loop_holds_one_sum_and_one_panel():
+    # at n = 384 (three panels) the loop holds S, one panel buffer of
+    # _PANEL x n floats and the batch's rows; a second n x n buffer for the
+    # batch's Gram matrix puts the peak about half an n x n array above the bound
+    n, batch_size = 384, 16
+    model = make_spiked_model(n, 2, 20.0, theta=0.1, seed=0)
+    p = MaskDistribution.uniform(n, 96.0)
+    stream = model.stream(child_rng(1))
+    peak = _traced_peak(lambda: run_fixed(stream, p, total=3 * batch_size, truth=model.sigma,
+                                          batch_size=batch_size, seed=2))
+    # the rows, the stream's draw temporaries and the mask draws fit in 8 row blocks
+    rows = 8 * batch_size * n * 8
+    assert peak <= (n * n + _PANEL * n) * 8 + rows
 
 
 def test_first_design_takes_the_budget_contract_of_design_probabilities():

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covest.estimator import (
+    _PANEL,
     CovarianceEstimate,
-    _reweighted_gram,
+    _fill_lower,
+    _fold_gram,
+    _panel_buffer,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -239,37 +242,50 @@ def test_relative_frobenius_error():
         relative_frobenius_error(truth, np.zeros((3, 3)))
 
 
+def _folded_gram(rows, p):
+    """The batch's reweighted Gram matrix, folded into a zero sum and mirrored."""
+    n = p.shape[0]
+    gram = np.zeros((n, n))
+    _fold_gram(rows, p, gram, _panel_buffer(n))
+    return _fill_lower(gram)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(1, 6),
+    n=st.sampled_from([1, 2, 5, 6, _PANEL + 1, 2 * _PANEL + 3]),
     count=st.integers(1, 8),
     p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
     entries=st.lists(st.floats(-1e100, 1e100), min_size=48, max_size=48),
 )
-def test_reweighted_gram_diagonal_is_nonnegative(n, count, p, entries):
+def test_fold_gram_diagonal_is_nonnegative(n, count, p, entries):
     # each diagonal entry is a sum of obs_i^2 / p_i, so the batch loop's
     # variance profile needs no clamp before the redesign
-    rows = np.array(entries[: n * count]).reshape(count, n)
-    gram = _reweighted_gram(rows, np.array(p[:n]))
+    rows = np.resize(np.array(entries), (count, n))
+    gram = _folded_gram(rows, np.resize(np.array(p), n))
     assert np.all(np.diagonal(gram) >= 0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.integers(1, 6),
+    n=st.sampled_from([1, 2, 5, 6, _PANEL + 1, 2 * _PANEL + 3]),
     count=st.integers(1, 8),
     p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
     entries=st.lists(st.floats(-1e3, 1e3), min_size=48, max_size=48),
-    order=st.sampled_from([None, "C", "F"]),
+    order=st.sampled_from(["C", "F"]),
 )
-def test_reweighted_gram_scales_the_diagonal_in_place(n, count, p, entries, order):
-    # the strided diagonal view does the multiplies np.diag_indices_from did,
-    # on a fresh result and on a given out of either memory layout
-    rows = np.array(entries[: n * count]).reshape(count, n)
-    p = np.array(p[:n])
-    expected = np.matmul((rows / p).T, rows / p, out=None if order is None else np.empty((n, n), order=order))
+def test_fold_gram_scales_the_diagonal_of_every_panel(n, count, p, entries, order):
+    # the strided diagonal view of each contiguous panel does the multiplies
+    # np.diag_indices_from does on the whole product, into a running sum of
+    # either memory layout; in one panel the sum is the product bit for bit
+    rows = np.resize(np.array(entries), (count, n))
+    p = np.resize(np.array(p), n)
+    expected = (rows / p).T @ (rows / p)
     expected[np.diag_indices_from(expected)] *= p
-    out = None if order is None else np.empty((n, n), order=order)
-    gram = _reweighted_gram(rows.copy(), p, out=out)
-    assert out is None or gram is out
-    assert gram.tobytes() == expected.tobytes()
+    gram = np.zeros((n, n), order=order)
+    _fold_gram(rows.copy(), p, gram, _panel_buffer(n))
+    _fill_lower(gram)
+    if n <= _PANEL:
+        assert gram.tobytes(order="C") == expected.tobytes()
+    else:
+        assert np.array_equal(gram, gram.T)
+        assert np.abs(gram - expected).max() <= 4 * n * np.finfo(float).eps * np.abs(expected).max()

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,27 @@ def test_each_trial_draws_its_rows_once(monkeypatch):
     spec = small_spec(budget_fracs=(0.25, 0.5))  # 7 arm tasks per trial
     run_experiment(spec, jobs=1)
     assert draws == [spec.batch_size] * (spec.trials * spec.iterations)
+
+
+def test_each_arm_trace_is_released_before_the_next_arm(monkeypatch):
+    # a trace holds its n x n running sum; keeping the previous arm's trace
+    # while the next arm runs puts two of them in a worker at its peak
+    traces, alive_at_start = [], []
+
+    def tracked(run):
+        def wrapper(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in traces])
+            trace = run(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+        return wrapper
+
+    for name in ("run_fixed", "run_active"):
+        monkeypatch.setattr(covest.experiment, name, tracked(getattr(covest.experiment, name)))
+    spec = small_spec(budget_fracs=(0.25, 0.5), trials=2)  # 7 arm tasks per trial
+    run_experiment(spec, jobs=1)
+    assert len(alive_at_start) == 14
+    assert all(not any(alive) for alive in alive_at_start)
 
 
 def _idx_files(tmp_path):

@@ -130,3 +130,20 @@ def test_counts_are_checked_as_integers():
         and node.args[0].value in _COUNTS
     ]
     assert found == []
+
+
+_PRODUCTS = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+
+
+def test_batch_loop_leaves_the_gram_to_the_estimator():
+    # the Gram product and its scoring live in estimator._fold_gram, which
+    # estimate_cov calls too; a product in active.py would be a second path
+    path = Path(covest.__file__).parent / "active.py"
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr in _PRODUCTS)
+        or (isinstance(node, ast.Name) and node.id in _PRODUCTS)
+    ]
+    assert found == []
