@@ -63,8 +63,8 @@ def _check_reweighting(p: np.ndarray) -> None:
         raise ValueError("entrywise inverse requires strictly positive entries: 1/(p_i p_j) overflows")
 
 
-# rows of the running sum folded per BLAS call: a 112 x 784 panel is 0.7 MB,
-# small enough to score while it is still in cache
+# rows of the running sum folded per BLAS call; on active784, panels of 64,
+# 128 and 256 rows timed within noise of one another (BENCH_panel_gram.json)
 _PANEL = 128
 
 
@@ -75,9 +75,20 @@ def _panels(n: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _panel_rows(n: int) -> int:
+    """Rows of the tallest panel of _panels(n): ceil(n / count), at most _PANEL."""
+    count = -(-n // _PANEL)
+    return -(-n // count)
+
+
 def _panel_buffer(n: int) -> np.ndarray:
-    """Scratch for _fold_gram: the widest panel, at most _PANEL x n floats."""
-    return np.empty(_panels(n)[0][1] * n)
+    """Scratch for _fold_gram: _panel_rows(n) x n floats, room for any panel.
+
+    Panels differ by at most one row, and a later, taller panel can hold more
+    entries than the first (127 x 16320 < 128 x 16193), so the buffer is sized
+    by the tallest panel at full width.
+    """
+    return np.empty(_panel_rows(n) * n)
 
 
 def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer: np.ndarray,

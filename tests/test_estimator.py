@@ -11,6 +11,8 @@ from covest.estimator import (
     _fill_lower,
     _fold_gram,
     _panel_buffer,
+    _panel_rows,
+    _panels,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -242,6 +244,20 @@ def test_relative_frobenius_error():
         relative_frobenius_error(truth, np.zeros((3, 3)))
 
 
+def test_panel_buffer_holds_every_panel():
+    # panels differ by one row, so a later panel can outgrow the first:
+    # at n=16320 the first is 127 x 16320 floats and the second 128 x 16193
+    assert _panels(16320)[:2] == [(0, 127), (127, 255)]
+    # np.empty reserves the buffers without touching their pages
+    for n in range(1, 20001):
+        panels = _panels(n)
+        assert panels[0][0] == 0 and panels[-1][1] == n
+        assert max(i1 - i0 for i0, i1 in panels) == _panel_rows(n) <= _PANEL
+        size = _panel_buffer(n).size
+        assert max((i1 - i0) * (n - i0) for i0, i1 in panels) <= size <= _PANEL * n
+    assert _panel_buffer(784).size == 112 * 784
+
+
 def _folded_gram(rows, p):
     """The batch's reweighted Gram matrix, folded into a zero sum and mirrored."""
     n = p.shape[0]
@@ -252,7 +268,7 @@ def _folded_gram(rows, p):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.sampled_from([1, 2, 5, 6, _PANEL + 1, 2 * _PANEL + 3]),
+    n=st.one_of(st.integers(1, 6), st.sampled_from([_PANEL + 1, 2 * _PANEL + 3])),
     count=st.integers(1, 8),
     p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
     entries=st.lists(st.floats(-1e100, 1e100), min_size=48, max_size=48),
@@ -267,7 +283,7 @@ def test_fold_gram_diagonal_is_nonnegative(n, count, p, entries):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    n=st.sampled_from([1, 2, 5, 6, _PANEL + 1, 2 * _PANEL + 3]),
+    n=st.one_of(st.integers(1, 6), st.sampled_from([_PANEL + 1, 2 * _PANEL + 3])),
     count=st.integers(1, 8),
     p=st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6),
     entries=st.lists(st.floats(-1e3, 1e3), min_size=48, max_size=48),
