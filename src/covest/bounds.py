@@ -38,20 +38,66 @@ def error_scale_matrix(cov: np.ndarray, p: MaskDistribution, sigma_ratio: float 
     cov is the true (or surrogate) covariance, p the observation
     probabilities, and sigma_ratio the factor relating each coordinate's
     sub-Gaussian norm to the square root of its variance (1 covers the
-    Gaussian case up to an absolute constant).
+    Gaussian case up to an absolute constant). Only the diagonal of cov
+    enters. The bounds in this module take the matrix's entrywise norm in
+    O(n) from that diagonal and never build it; call this for the n x n
+    matrix itself.
     """
     cov = check_square(cov, "cov")
+    d = _scale_diagonal(cov, p, sigma_ratio)
+    return _check_finite("error scale matrix", _scale_matrix(d, p.p, sigma_ratio))
+
+
+def _scale_diagonal(cov: np.ndarray, p: MaskDistribution, sigma_ratio: float) -> np.ndarray:
+    # the diagonal of a square cov, checked with sigma_ratio against p
     if cov.shape[0] != p.n:
         raise ValueError("covariance dimension does not match distribution")
     _check_finite("sigma_ratio", sigma_ratio, gt=0)
-    d = _check_finite("diagonal of cov", np.diag(cov), ge=0)
+    return _check_finite("diagonal of cov", np.diag(cov), ge=0)
+
+
+def _scale_matrix(d: np.ndarray, p: np.ndarray, sigma_ratio: float) -> np.ndarray:
+    # error_scale_matrix from the checked diagonal d; a tiny p overflows an
+    # entry, which the caller judges
     root = np.sqrt(d)
-    with np.errstate(divide="ignore", over="ignore"):  # a tiny p overflows it; judged below
-        scale = sigma_ratio**2 * np.outer(root, root) / np.outer(p.p, p.p)
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = sigma_ratio**2 * np.outer(root, root) / np.outer(p, p)
         # diagonal decays with 1/p_i, not 1/p_i^2: a diagonal entry needs only
         # one coordinate to be observed
-        np.fill_diagonal(scale, sigma_ratio**2 * d / p.p)
-    return _check_finite("error scale matrix", scale)
+        np.fill_diagonal(scale, sigma_ratio**2 * d / p)
+    return scale
+
+
+def _scale_norm(d: np.ndarray, p: np.ndarray, sigma_ratio: float, q: float) -> float:
+    """Entrywise q-norm of _scale_matrix(d, p, sigma_ratio) in O(n).
+
+    Off the diagonal s_ij = sigma_ratio^2 * u_i * u_j with u = sqrt(d) / p.
+    Every entry is divided by the largest one, top, so nothing overflows.
+    With w = (u / u_max)^q the off-diagonal sum of (s_ij / top)^q is
+    2 * c * sum_i w_i * sum_{j<i} w_j, where c = (sigma_ratio^2 * u_max^2 / top)^q.
+    The inner sum is an exclusive prefix: cumsum(w) - w would cancel where
+    one w dominates the ones before it. Where top or the result is not
+    finite, the norm comes from the matrix, whose check names an entry that
+    overflows.
+    """
+    s2 = sigma_ratio**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.sqrt(d) / p
+        diag = s2 * d / p
+        u_max = u.max()
+        top = diag.max()
+        if u.size > 1:
+            top = max(top, s2 * u_max * np.partition(u, -2)[-2])
+        if top == 0.0:
+            return 0.0
+        if top < np.inf:
+            w = (u / u_max) ** q
+            prefix = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+            c = (s2 * u_max / top * u_max) ** q
+            norm = top * (2.0 * c * np.dot(w, prefix) + np.sum((diag / top) ** q)) ** (1.0 / q)
+            if np.isfinite(norm):
+                return float(norm)
+    return _entrywise_norm(_check_finite("error scale matrix", _scale_matrix(d, p, sigma_ratio)), q)
 
 
 def entrywise_norm(matrix: np.ndarray, q: float) -> float:
@@ -119,11 +165,11 @@ def error_scale_norm_bound(
     """
     _check_finite("q", q, ge=2)
     cov = check_symmetric(cov, "cov")
-    scale = error_scale_matrix(cov, p, sigma_ratio)
+    norm = _scale_norm(_scale_diagonal(cov, p, sigma_ratio), p.p, sigma_ratio, q)
     erank, top = _rank_and_top(cov)
     value = 2.0 * sigma_ratio**2 * erank * top / p.p_min**2
     # cheap self-check: the summary bound must dominate the exact norm
-    if not _entrywise_norm(scale, q) <= value:
+    if not norm <= value:
         raise RuntimeError("effective-rank bound fell below the exact scale-matrix norm")
     return float(value)
 
@@ -132,7 +178,8 @@ def error_scale_norm_bound(
 class BoundReport:
     """Everything needed to audit one error-bound evaluation.
 
-    The n x n scale matrix is not kept; error_scale_matrix recomputes it.
+    The n x n scale matrix is neither built nor kept; error_scale_matrix
+    builds it on request.
     """
 
     scale_norm: float
@@ -166,15 +213,23 @@ def bound_report(
     q: float = 2.0,
     sigma_ratio: float = 1.0,
 ) -> BoundReport:
-    """Assemble the scale-matrix norm, the effective rank, and the bound."""
-    _check_finite("q", q, ge=1)  # error_scale_matrix and error_bound check the rest
-    return _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, effective_rank(cov))
+    """Assemble the scale-matrix norm, the effective rank, and the bound.
+
+    The norm is computed in O(n) from the diagonal of cov; the scale matrix
+    itself is not built. cov must pass linalg.check_symmetric with a
+    nonnegative diagonal, and its eigenvalues linalg.check_psd_spectrum.
+    """
+    _check_finite("q", q, ge=1)  # error_bound checks samples, eta and gamma
+    cov = check_symmetric(cov, "cov")
+    erank = _rank_and_top(cov)[0]
+    return _bound_report(_scale_diagonal(cov, p, sigma_ratio), p, samples, eta, gamma, q,
+                         sigma_ratio, erank)
 
 
-def _bound_report(cov, p, samples, eta, gamma, q, sigma_ratio, erank: float) -> BoundReport:
-    # bound_report with the effective rank of cov supplied by a caller that
-    # reports on one covariance under many designs
-    norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
+def _bound_report(d, p, samples, eta, gamma, q, sigma_ratio, erank: float) -> BoundReport:
+    # bound_report from the covariance's diagonal d and its effective rank,
+    # for a caller that reports on one covariance under many designs
+    norm = _scale_norm(d, p.p, sigma_ratio, q)
     return BoundReport(
         scale_norm=norm,
         q=q,
@@ -219,7 +274,7 @@ def calibrate_gamma(
     trials = _check_count("trials", trials, ge=1)
     _check_finite("q", q, ge=1)
     cov = check_symmetric(cov, "cov")
-    scale_norm = _entrywise_norm(error_scale_matrix(cov, p, sigma_ratio), q)
+    scale_norm = _scale_norm(_scale_diagonal(cov, p, sigma_ratio), p.p, sigma_ratio, q)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples
     factor = psd_sqrt_factor(cov)
     implied = np.empty(trials)

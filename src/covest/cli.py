@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__
 from .active import ActiveConfig, run_active
-from .bounds import bound_report, calibrate_gamma, effective_rank, error_scale_matrix
+from .bounds import bound_report, calibrate_gamma, error_scale_matrix
 from .data import make_spiked_model
 from .design import design_probabilities, kkt_residual
 from .estimator import estimate_cov
-from .experiment import ExperimentSpec, export_csv, run_experiment
+from .experiment import ExperimentSpec, _truth_erank, export_csv, run_experiment
 from .sampling import MaskDistribution, MaskedBatch, child_rng, derive_seed
 
 __all__ = ["main"]
@@ -139,7 +139,7 @@ def cmd_active(args) -> int:
         "samples": [int(c) for c in trace.sample_counts()],
         "rel_errors": [float(e) for e in trace.errors()],
         "final_design": [float(x) for x in trace.final_design],
-        "truth_erank": effective_rank(model.sigma),
+        "truth_erank": _truth_erank(model),
         "seed": seed,
     })
     if args.out:

@@ -13,7 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _check_count, _check_finite, check_symmetric, clamped_sqrt, psd_sqrt_factor, spectral_norm
+# psd_sqrt_factor stays importable from this module, where perfbench/spans.py
+# instruments it
+from .linalg import (  # noqa: F401
+    _check_count,
+    _check_finite,
+    _sqrt_factor,
+    check_symmetric,
+    clamped_sqrt,
+    psd_sqrt_factor,
+    spectral_norm,
+)
 
 __all__ = [
     "SyntheticModel",
@@ -33,6 +43,11 @@ class SyntheticModel:
     ||base|| is the spectral norm. The noise floor shifts every eigenvalue by
     the same amount, so the effective rank of sigma is
     (erank(base) + n * theta) / (1 + theta) exactly.
+
+    top_eigenvalue is the largest eigenvalue of sigma, read from the
+    decomposition the build runs anyway: the largest diagonal entry when
+    base is diagonal, else the top eigenvalue of the eigh that roots sigma.
+    It is not (1 + theta) * ||base|| when base is indefinite.
     """
 
     def __init__(self, base_cov: np.ndarray, theta: float = 0.0):
@@ -50,9 +65,15 @@ class SyntheticModel:
         if self.base_spectral_norm == 0.0:
             raise ValueError("base covariance must be nonzero")
         self.sigma = base_cov + self.theta * self.base_spectral_norm * np.eye(base_cov.shape[0])
-        # the diagonal of the factor when the factor is diagonal, else None
-        self._root = clamped_sqrt(np.diagonal(self.sigma)) if is_diagonal else None
-        self.factor = np.diag(self._root) if is_diagonal else psd_sqrt_factor(self.sigma)
+        # _root is the diagonal of the factor when the factor is diagonal, else None
+        if is_diagonal:
+            self._root = clamped_sqrt(np.diagonal(self.sigma))
+            self.factor = np.diag(self._root)
+            self.top_eigenvalue = float(np.max(np.diagonal(self.sigma)))
+        else:
+            self._root = None
+            self.factor, w = _sqrt_factor(self.sigma)
+            self.top_eigenvalue = float(w[-1])
 
     @property
     def dim(self) -> int:
@@ -107,6 +128,8 @@ class EmpiricalSource:
     moment of the centered rows. Draws add Gaussian noise with variance
     theta * ||base||, so the sampling covariance is sigma = base +
     theta * ||base|| * I (up to the finite-population epoch structure).
+    The base is a Gram matrix, so the largest eigenvalue of sigma,
+    top_eigenvalue, is (1 + theta) * ||base||.
     """
 
     def __init__(self, records: np.ndarray, theta: float = 0.0):
@@ -122,6 +145,7 @@ class EmpiricalSource:
         if self.base_spectral_norm == 0.0:
             raise ValueError("records must not be identical")
         self.noise_scale = float(np.sqrt(self.theta * self.base_spectral_norm))
+        self.top_eigenvalue = (1.0 + self.theta) * self.base_spectral_norm
         self.sigma = self.base_cov + self.theta * self.base_spectral_norm * np.eye(centered.shape[1])
 
     @property

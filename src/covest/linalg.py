@@ -90,8 +90,13 @@ def psd_sqrt_factor(sym: np.ndarray) -> np.ndarray:
 
     Its eigenvalues are rooted by clamped_sqrt, so a non-PSD sym raises.
     """
+    return _sqrt_factor(sym)[0]
+
+
+def _sqrt_factor(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # psd_sqrt_factor(sym), and the ascending eigenvalues of sym it roots
     w, v = np.linalg.eigh(sym)
-    return (v * clamped_sqrt(w)) @ v.T
+    return (v * clamped_sqrt(w)) @ v.T, w
 
 
 def clamped_sqrt(w: np.ndarray) -> np.ndarray:

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import covest.bounds
 from covest.bounds import (
+    _scale_norm,
     bound_report,
     calibrate_gamma,
     effective_rank,
@@ -163,6 +167,64 @@ def test_bound_report_survives_a_scale_norm_past_float_range():
     # where the scale matrix itself overflows, the message names it
     with pytest.raises(ValueError, match="error scale matrix must be finite, got inf at"):
         bound_report(np.eye(2), MaskDistribution([1e-200, 1e-200]), 100, 100.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def _matrix_norm(d, p, sigma_ratio, q):
+    # entrywise_norm of the built scale matrix, divided first by its largest
+    # entry: entrywise_norm raises the sum to a rounded 1/q, which alone is
+    # off by about ln(sum) * eps / 2, tens of eps for entries near 1e30
+    scale = error_scale_matrix(np.diag(d), MaskDistribution(p), sigma_ratio)
+    top = scale.max()
+    return top * entrywise_norm(scale / top, q) if top > 0 else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), st.floats(EPS, 1.0)),
+        min_size=1, max_size=64,
+    ),
+    q=st.floats(1.0, 4.0),
+    sigma_ratio=st.floats(0.1, 10.0),
+)
+def test_scale_norm_matches_the_built_matrix(entries, q, sigma_ratio):
+    d, p = (np.array(column) for column in zip(*entries))
+    expected = _matrix_norm(d, p, sigma_ratio, q)
+    got = _scale_norm(d, p, sigma_ratio, q)
+    assert abs(got - expected) <= 4 * len(d) * EPS * expected
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [1, 2, 0]], ids=["dominant-first", "dominant-last"])
+def test_scale_norm_of_a_dominant_coordinate(order):
+    # u = sqrt(d) / p is 1e6 at the dominant coordinate and 1 elsewhere, so
+    # the off-diagonal terms add 4e-9 to a total near 1: an inclusive prefix
+    # minus w cancels them where the dominant w comes last
+    d = np.array([1e6, 1.0, 1.0])[order]
+    p = np.array([1e-3, 1.0, 1.0])[order]
+    expected = _matrix_norm(d, p, 1.0, 3.0)
+    assert expected == pytest.approx(1e9 * (1.0 + 4e-9 + 4e-27) ** (1 / 3), rel=1e-15)
+    assert abs(_scale_norm(d, p, 1.0, 3.0) - expected) <= 12 * EPS * expected
+
+
+def test_scale_norm_of_a_zero_diagonal():
+    assert _scale_norm(np.zeros(3), np.full(3, 0.5), 1.0, 2.0) == 0.0
+    assert _scale_norm(np.array([0.0, 4.0]), np.array([0.5, 0.25]), 1.0, 2.0) == 16.0
+
+
+def test_bounds_take_the_norm_without_the_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scale matrix built")
+
+    monkeypatch.setattr(covest.bounds, "_scale_matrix", refuse)
+    cov = rand_psd(np.random.default_rng(16), 5)
+    p = MaskDistribution(np.array([0.3, 0.8, 0.5, 0.6, 0.4]))
+    report = bound_report(cov, p, samples=100, eta=50.0)
+    assert report.scale_norm > 0
+    assert error_scale_norm_bound(cov, p) >= report.scale_norm
+    assert calibrate_gamma(cov, p, samples=20, eta=10.0, trials=5) > 0
 
 
 def test_bound_report_contents():

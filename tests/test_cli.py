@@ -205,6 +205,20 @@ def test_active_loop_output(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_active_reads_the_truths_erank_from_the_model(capsys, monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    code, stdout, _ = run_cli(capsys, "active", "--n", "8", "--spikes", "2", "--theta", "0.25",
+                              "--budget-frac", "0.5", "--batch", "10", "--iters", "2", "--seed", "4")
+    assert code == 0
+    assert calls == []  # the spiked model is diagonal
+    # two spikes of 10 and six ones, shifted by 0.25 * 10
+    assert json.loads(stdout)["truth_erank"] == pytest.approx((2 * 12.5 + 6 * 3.5) / 12.5, rel=1e-15)
+
+
 def write_config(tmp_path, **overrides):
     config = {
         "source": {"kind": "synthetic", "n": 5, "spikes": 1, "spike": 9.0, "theta": 0.2},

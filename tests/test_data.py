@@ -138,6 +138,20 @@ def test_empirical_source_centers_and_matches_moments():
     assert source.size == 40 and source.dim == 3
 
 
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "empirical"])
+def test_sources_record_the_top_eigenvalue_of_sigma(kind):
+    rng = child_rng(12)
+    if kind == "diagonal":
+        source = make_spiked_model(9, 2, 7.0, theta=0.3, seed=2)
+    elif kind == "dense":
+        a = rng.normal(size=(9, 9))
+        source = SyntheticModel((a + a.T) / 2, theta=1.5)  # an indefinite base
+    else:
+        source = EmpiricalSource(rng.normal(size=(30, 9)), theta=0.3)
+    top = np.linalg.eigvalsh(source.sigma)[-1]
+    assert source.top_eigenvalue == pytest.approx(top, rel=36 * np.finfo(float).eps)
+
+
 def test_empirical_epoch_is_a_permutation():
     rng = child_rng(12)
     records = rng.normal(size=(15, 4))

@@ -9,6 +9,7 @@ import pytest
 import covest.experiment
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.bounds import bound_report, effective_rank, entrywise_norm, error_scale_matrix
+from covest.data import SyntheticModel
 from covest.experiment import (
     ARMS,
     EmpiricalSourceSpec,
@@ -194,7 +195,10 @@ def test_bound_reports_match_public_bound_report():
     spec = small_spec()
     result = run_experiment(spec)
     sigma = covest.experiment._build_source(spec).sigma
-    assert result.truth_erank == effective_rank(sigma)
+    # the run reads the effective rank and the norm from closed forms, which
+    # round differently from an eigvalsh and from the built scale matrix
+    tol = 4 * len(sigma) * np.finfo(float).eps
+    assert result.truth_erank == pytest.approx(effective_rank(sigma), rel=tol, abs=0)
     for key, report in result.bound_reports.items():
         expected = bound_report(sigma, MaskDistribution(result.final_designs[key]),
                                 samples=spec.total_samples, eta=spec.eta, gamma=spec.gamma,
@@ -202,7 +206,61 @@ def test_bound_reports_match_public_bound_report():
         assert report.to_dict() == expected.to_dict()
         scale = error_scale_matrix(sigma, MaskDistribution(result.final_designs[key]),
                                    spec.sigma_ratio)
-        assert report.scale_norm == entrywise_norm(scale, spec.q)
+        assert report.scale_norm == pytest.approx(entrywise_norm(scale, spec.q), rel=tol, abs=0)
+
+
+def _count_decompositions(monkeypatch) -> list:
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    return calls
+
+
+def _digits_spec(tmp_path):
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, size=(40, 4, 4)).astype(np.uint8)
+    labels = np.repeat(np.arange(2), 20).astype(np.uint8)
+    (tmp_path / "images.idx").write_bytes(idx_bytes(images))
+    (tmp_path / "labels.idx").write_bytes(idx_bytes(labels))
+    return small_spec(source=EmpiricalSourceSpec(images=str(tmp_path / "images.idx"),
+                                                 labels=str(tmp_path / "labels.idx"),
+                                                 digit=1, theta=0.05), trials=2)
+
+
+@pytest.mark.parametrize("kind, built", [("empirical", 1), ("figure", 0)])
+def test_run_decomposes_sigma_only_in_the_source_build(monkeypatch, tmp_path, kind, built):
+    # the empirical build takes ||base|| from one eigvalsh; the figure spec's
+    # spiked source is diagonal and needs none
+    if kind == "empirical":
+        spec = _digits_spec(tmp_path)
+    else:
+        spec = small_spec(source=SyntheticSourceSpec(n=16, spikes=2, spike=50.0, theta=1 / 16),
+                          budget_fracs=(0.25, 0.5), trials=2)
+    calls = _count_decompositions(monkeypatch)
+    covest.experiment._build_source(spec)
+    assert len(calls) == built
+    calls.clear()
+    run_experiment(spec, jobs=1)
+    assert len(calls) == built
+
+
+def test_truth_erank_of_an_indefinite_base(monkeypatch):
+    # sigma = diag(0, 1.5): its top eigenvalue is 1.5, and (1 + theta) * ||base|| = 2
+    # would give an effective rank of 0.75
+    base = np.diag([-1.0, 0.5])
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    spec = small_spec(source=SyntheticSourceSpec(n=2, spikes=1, spike=1.0), trials=1)
+    for model in (SyntheticModel(base, theta=1.0),
+                  SyntheticModel(rotation @ base @ rotation.T, theta=1.0)):
+        monkeypatch.setattr(covest.experiment, "_build_source", lambda spec, m=model: m)
+        result = run_experiment(spec)
+        assert effective_rank(model.sigma) == pytest.approx(1.0, rel=1e-15)
+        assert result.truth_erank == pytest.approx(effective_rank(model.sigma), rel=8 * np.finfo(float).eps)
+    assert result.bound_reports[("uniform", 0.5)].erank == result.truth_erank
+    assert SyntheticModel(base, theta=1.0).top_eigenvalue == 1.5
 
 
 def test_pool_workers_reuse_the_parents_source(monkeypatch):
@@ -242,6 +300,7 @@ class _CountingSource:
         self._draws = draws
         self.dim = source.dim
         self.sigma = source.sigma
+        self.top_eigenvalue = source.top_eigenvalue
 
     def stream(self, rng):
         stream = self._source.stream(rng)
