@@ -13,6 +13,16 @@ def rand_psd(rng, n, scale=1.0):
     return scale * (cov + cov.T) / 2
 
 
+def count_decompositions(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh and eigh to append their names to the returned list."""
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    return calls
+
+
 def idx_bytes(arr):
     """Serialize a uint8 array in the IDX layout (big-endian sizes)."""
     arr = np.asarray(arr, dtype=np.uint8)

@@ -9,6 +9,8 @@ import pytest
 from covest import __version__
 from covest.cli import _emit, main
 
+from helpers import count_decompositions
+
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
@@ -206,11 +208,7 @@ def test_active_loop_output(capsys, tmp_path):
 
 
 def test_active_reads_the_truths_erank_from_the_model(capsys, monkeypatch):
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
+    calls = count_decompositions(monkeypatch)
     code, stdout, _ = run_cli(capsys, "active", "--n", "8", "--spikes", "2", "--theta", "0.25",
                               "--budget-frac", "0.5", "--batch", "10", "--iters", "2", "--seed", "4")
     assert code == 0

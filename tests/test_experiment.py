@@ -21,7 +21,7 @@ from covest.experiment import (
 from covest.design import design_probabilities
 from covest.sampling import MaskDistribution, child_rng, derive_seed
 
-from helpers import idx_bytes
+from helpers import count_decompositions, idx_bytes
 
 
 def small_spec(**overrides):
@@ -209,15 +209,6 @@ def test_bound_reports_match_public_bound_report():
         assert report.scale_norm == pytest.approx(entrywise_norm(scale, spec.q), rel=tol, abs=0)
 
 
-def _count_decompositions(monkeypatch) -> list:
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
-    return calls
-
-
 def _digits_spec(tmp_path):
     rng = np.random.default_rng(3)
     images = rng.integers(0, 256, size=(40, 4, 4)).astype(np.uint8)
@@ -238,7 +229,7 @@ def test_run_decomposes_sigma_only_in_the_source_build(monkeypatch, tmp_path, ki
     else:
         spec = small_spec(source=SyntheticSourceSpec(n=16, spikes=2, spike=50.0, theta=1 / 16),
                           budget_fracs=(0.25, 0.5), trials=2)
-    calls = _count_decompositions(monkeypatch)
+    calls = count_decompositions(monkeypatch)
     covest.experiment._build_source(spec)
     assert len(calls) == built
     calls.clear()
@@ -252,15 +243,17 @@ def test_truth_erank_of_an_indefinite_base(monkeypatch):
     base = np.diag([-1.0, 0.5])
     c, s = np.cos(0.3), np.sin(0.3)
     rotation = np.array([[c, -s], [s, c]])
+    diagonal = SyntheticModel(base, theta=1.0)
+    dense = SyntheticModel(rotation @ base @ rotation.T, theta=1.0)
     spec = small_spec(source=SyntheticSourceSpec(n=2, spikes=1, spike=1.0), trials=1)
-    for model in (SyntheticModel(base, theta=1.0),
-                  SyntheticModel(rotation @ base @ rotation.T, theta=1.0)):
+    results = []
+    for model in (diagonal, dense):
         monkeypatch.setattr(covest.experiment, "_build_source", lambda spec, m=model: m)
-        result = run_experiment(spec)
-        assert effective_rank(model.sigma) == pytest.approx(1.0, rel=1e-15)
-        assert result.truth_erank == pytest.approx(effective_rank(model.sigma), rel=8 * np.finfo(float).eps)
-    assert result.bound_reports[("uniform", 0.5)].erank == result.truth_erank
-    assert SyntheticModel(base, theta=1.0).top_eigenvalue == 1.5
+        results.append(run_experiment(spec))
+    assert results[0].truth_erank == effective_rank(diagonal.sigma) == 1.0
+    assert results[0].bound_reports[("uniform", 0.5)].erank == 1.0
+    assert results[1].truth_erank == pytest.approx(effective_rank(dense.sigma), rel=8 * np.finfo(float).eps)
+    assert effective_rank(dense.sigma) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_pool_workers_reuse_the_parents_source(monkeypatch):
