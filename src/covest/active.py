@@ -28,7 +28,7 @@ from .estimator import (  # noqa: F401
     merge_estimates,
     relative_frobenius_error,
 )
-from .linalg import _check_count, _check_finite
+from .linalg import _check_count, _check_scalar, _store_checked
 # mask_batch is unused here but stays importable: perfbench/spans.py wraps
 # covest.active.mask_batch and fails when the name is missing
 from .sampling import MaskDistribution, child_rng, draw_mask, mask_batch  # noqa: F401
@@ -47,10 +47,10 @@ class ActiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_finite("budget", self.budget, gt=0)
-        object.__setattr__(self, "batch_size", _check_count("batch_size", self.batch_size, ge=1))
-        object.__setattr__(self, "iterations", _check_count("iterations", self.iterations, ge=1))
-        _check_finite("eps", self.eps, ge=0, le=1)
+        _store_checked(self, _check_scalar, ("budget",), gt=0)
+        _store_checked(self, _check_count, ("batch_size", "iterations"), ge=1)
+        _store_checked(self, _check_scalar, ("eps",), ge=0, le=1)
+        _store_checked(self, _check_count, ("seed",), ge=0)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -107,13 +107,12 @@ def entrywise_norm(matrix: np.ndarray, q: float) -> float:
 
 
 def _entrywise_norm(matrix: np.ndarray, q: float) -> float:
-    # entrywise_norm of a checked finite matrix, scaled only where the sum overflows
+    # entrywise_norm of a checked finite matrix; every entry is divided by the
+    # largest, so the sum neither overflows nor underflows
     size = np.abs(matrix)
-    with np.errstate(over="ignore"):
-        total = np.sum(size**q)
-    if np.isfinite(total):
-        return float(total ** (1.0 / q))
-    top = size.max()
+    top = size.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
     return float(top * np.sum((size / top) ** q) ** (1.0 / q))
 
 
@@ -192,16 +191,7 @@ class BoundReport:
     sigma_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "scale_norm": self.scale_norm,
-            "q": self.q,
-            "erank": self.erank,
-            "bound": self.bound,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "samples": self.samples,
-            "sigma_ratio": self.sigma_ratio,
-        }
+        return asdict(self)
 
 
 def bound_report(
@@ -273,6 +263,7 @@ def calibrate_gamma(
     _check_finite("eta", eta, gt=1)
     trials = _check_count("trials", trials, ge=1)
     _check_finite("q", q, ge=1)
+    seed = _check_count("seed", seed, ge=0)
     cov = check_symmetric(cov, "cov")
     scale_norm = _scale_norm(_scale_diagonal(cov, p, sigma_ratio), p.p, sigma_ratio, q)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples

@@ -24,6 +24,7 @@ from .data import make_spiked_model
 from .design import design_probabilities, kkt_residual
 from .estimator import estimate_cov
 from .experiment import ExperimentSpec, _truth_erank, export_csv, run_experiment
+from .linalg import _check_count
 from .sampling import MaskDistribution, MaskedBatch, child_rng, derive_seed
 
 __all__ = ["main"]
@@ -33,18 +34,16 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("COVEST_SEED")
-    if raw is None:
-        return 0
+def _resolve_seed(flag_value: int | None) -> int:
+    # the flag, else COVEST_SEED, else 0, as a nonnegative integer
+    if flag_value is not None:
+        return _check_count("seed", flag_value, ge=0)
+    raw = os.environ.get("COVEST_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValueError(f"COVEST_SEED must be an integer, got {raw!r}") from exc
-
-
-def _resolve_seed(flag_value: int | None) -> int:
-    return _env_seed() if flag_value is None else flag_value
+    return _check_count("COVEST_SEED", seed, ge=0)
 
 
 def _read_vector(spec_str: str) -> np.ndarray:
@@ -191,10 +190,8 @@ def cmd_experiment(args) -> int:
         config["arms"] = [a.strip() for a in args.arms.split(",") if a.strip()]
     if args.budgets is not None:
         config["budget_fracs"] = [float(x) for x in args.budgets.split(",")]
-    if args.seed is not None:
-        config["seed"] = args.seed
-    elif "seed" not in config:
-        config["seed"] = _env_seed()
+    if args.seed is not None or "seed" not in config:
+        config["seed"] = _resolve_seed(args.seed)
     spec = ExperimentSpec.from_dict(config)
     _log(f"running {spec.trials} trials x {len(spec.arms)} arms "
          f"({spec.iterations} checkpoints of {spec.batch_size} samples), jobs={args.jobs}")

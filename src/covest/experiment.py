@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .active import ActiveConfig, run_active, run_fixed
 from .bounds import BoundReport, _bound_report, bound_report, effective_rank  # noqa: F401
 from .data import build_empirical_source, load_idx, make_spiked_model
 from .design import design_probabilities
-from .linalg import _check_count, _check_finite
+from .linalg import _check_count, _check_finite, _check_scalar, _store_checked
 from .sampling import MaskDistribution, child_rng, derive_seed
 
 __all__ = [
@@ -46,6 +47,25 @@ _TAG_DATA = 1
 _TAG_ARM = 2
 
 
+def _fields_in(cls, d, where: str) -> dict:
+    # d as keyword arguments for the dataclass cls, else a ValueError naming where
+    # and the bad keys; a field that is no init argument (a source's kind) is dropped
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.init and f.default is MISSING and f.name not in d]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{problem} {where} fields: {keys}")
+    return {f.name: d[f.name] for f in fields(cls) if f.init and f.name in d}
+
+
+def _to_dict(spec) -> dict:
+    # a spec's fields by name as JSON values: a source spec as a dict, tuples as lists
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(spec).items()}
+
+
 @dataclass(frozen=True)
 class SyntheticSourceSpec:
     """Spiked Gaussian source parameters."""
@@ -54,16 +74,14 @@ class SyntheticSourceSpec:
     spikes: int
     spike: float
     theta: float = 0.0
+    kind: str = field(default="synthetic", init=False, repr=False)
 
     def __post_init__(self):
-        for count in ("n", "spikes"):
-            object.__setattr__(self, count, _check_count(count, getattr(self, count), ge=1))
-        _check_finite("spike", self.spike, ge=1)
-        _check_finite("theta", self.theta, ge=0)
+        _store_checked(self, _check_count, ("n", "spikes"), ge=1)
+        _store_checked(self, _check_scalar, ("spike",), ge=1)
+        _store_checked(self, _check_scalar, ("theta",), ge=0)
 
-    def to_dict(self) -> dict:
-        return {"kind": "synthetic", "n": self.n, "spikes": self.spikes,
-                "spike": self.spike, "theta": self.theta}
+    to_dict = _to_dict
 
 
 @dataclass(frozen=True)
@@ -74,25 +92,29 @@ class EmpiricalSourceSpec:
     labels: str
     digit: int
     theta: float = 0.0
+    kind: str = field(default="empirical", init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "digit", _check_count("digit", self.digit, ge=0))
-        _check_finite("theta", self.theta, ge=0)
+        for name in ("images", "labels"):
+            path = getattr(self, name)
+            if not isinstance(path, (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, got {path!r}")
+            object.__setattr__(self, name, os.fspath(path))
+        _store_checked(self, _check_count, ("digit",), ge=0)
+        _store_checked(self, _check_scalar, ("theta",), ge=0)
 
-    def to_dict(self) -> dict:
-        return {"kind": "empirical", "images": self.images, "labels": self.labels,
-                "digit": self.digit, "theta": self.theta}
+    to_dict = _to_dict
 
 
-def _source_spec_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "synthetic":
-        return SyntheticSourceSpec(n=d["n"], spikes=d["spikes"],
-                                   spike=float(d["spike"]), theta=float(d.get("theta", 0.0)))
-    if kind == "empirical":
-        return EmpiricalSourceSpec(images=str(d["images"]), labels=str(d["labels"]),
-                                   digit=d["digit"], theta=float(d.get("theta", 0.0)))
-    raise ValueError(f"unknown source kind {kind!r}")
+_SOURCES = (SyntheticSourceSpec, EmpiricalSourceSpec)
+
+
+def _source_spec_from_dict(d):
+    for cls in _SOURCES:
+        if isinstance(d, dict) and d.get("kind") == cls.kind:
+            return cls(**_fields_in(cls, d, "source"))
+    raise ValueError(f"unknown source kind: a source is a JSON object whose kind is one of "
+                     f"{[cls.kind for cls in _SOURCES]}, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -114,53 +136,35 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "arms", tuple(self.arms))
-        object.__setattr__(self, "budget_fracs", tuple(float(f) for f in self.budget_fracs))
         for arm in self.arms:
             if arm not in ARMS:
                 raise ValueError(f"unknown arm {arm!r}; choose from {ARMS}")
         if len(set(self.arms)) != len(self.arms):
             raise ValueError("arms must be distinct")
-        for count in ("trials", "batch_size", "iterations"):
-            object.__setattr__(self, count, _check_count(count, getattr(self, count), ge=1))
-        _check_finite("eps", self.eps, ge=0, le=1)
+        _store_checked(self, _check_count, ("trials", "batch_size", "iterations"), ge=1)
+        _store_checked(self, _check_count, ("seed",), ge=0)
+        _store_checked(self, _check_scalar, ("eps",), ge=0, le=1)
+        fracs = _check_finite("budget fraction", self.budget_fracs, ge=self.eps, le=1)
+        if fracs.ndim != 1 or len(set(fracs.tolist())) != fracs.size:
+            raise ValueError(f"budget fractions must be a list of distinct numbers, got {self.budget_fracs}")
+        object.__setattr__(self, "budget_fracs", tuple(fracs.tolist()))
         needs_budget = [a for a in self.arms if a != "full"]
         if needs_budget and not self.budget_fracs:
             raise ValueError("budgeted arms need at least one budget fraction")
-        _check_finite("budget fraction", self.budget_fracs, ge=self.eps, le=1)
-        _check_finite("q", self.q, ge=1)
-        _check_finite("eta", self.eta, gt=1)
-        _check_finite("gamma", self.gamma, gt=0)
-        _check_finite("sigma_ratio", self.sigma_ratio, gt=0)
+        _store_checked(self, _check_scalar, ("q",), ge=1)
+        _store_checked(self, _check_scalar, ("eta",), gt=1)
+        _store_checked(self, _check_scalar, ("gamma", "sigma_ratio"), gt=0)
 
     @property
     def total_samples(self) -> int:
         return self.batch_size * self.iterations
 
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "arms": list(self.arms),
-            "budget_fracs": list(self.budget_fracs),
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "trials": self.trials,
-            "seed": self.seed,
-            "q": self.q,
-            "eps": self.eps,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "sigma_ratio": self.sigma_ratio,
-        }
+    to_dict = _to_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown experiment fields: {sorted(extra)}")
-        kwargs = dict(d)
-        kwargs["source"] = _source_spec_from_dict(d["source"])
-        return cls(**kwargs)
+        kwargs = _fields_in(cls, d, "experiment")
+        return cls(**{**kwargs, "source": _source_spec_from_dict(kwargs["source"])})
 
 
 @dataclass

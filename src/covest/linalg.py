@@ -48,10 +48,13 @@ def _check_finite(name: str, value, **bounds: float) -> np.ndarray:
     bounds holds gt or ge and optionally lt or le, comparisons that NaN fails;
     the error names name, the rule and the first bad entry (and its index).
     """
-    x = np.asarray(value)
-    if not bounds and x.dtype.kind in "biu":  # an integer array holds no NaN or inf
-        return x.astype(float)
-    x = x.astype(float, copy=False)
+    try:
+        x = np.asarray(value)
+        if not bounds and x.dtype.kind in "biu":  # an integer array holds no NaN or inf
+            return x.astype(float)
+        x = x.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     good = np.isfinite(x)
     for op, limit in bounds.items():
         good &= getattr(operator, op)(x, limit)
@@ -63,12 +66,26 @@ def _check_finite(name: str, value, **bounds: float) -> np.ndarray:
     raise ValueError(f"{name} must {rule}, got {bad}" + (f" at {index.tolist()}" if index.size else ""))
 
 
+def _check_scalar(name: str, value, **bounds: float) -> float:
+    """_check_finite for one number: value as a float, else ValueError naming name."""
+    x = _check_finite(name, value, **bounds)
+    if x.ndim:
+        raise ValueError(f"{name} must be a number, got {value}")
+    return float(x)
+
+
 def _check_count(name: str, value, **bounds: float) -> int:
-    """_check_finite for one whole number: value as an int, else ValueError naming name."""
+    """_check_finite for one whole number: value as an int (an integer input exactly), else ValueError."""
     x = _check_finite(name, value, **bounds)
     if x.ndim or not float(x).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")
-    return int(x)
+    return int(value) if isinstance(value, (int, np.integer)) else int(x)
+
+
+def _store_checked(spec, check, names, **bounds: float) -> None:
+    """Replace each named field of a frozen dataclass by what check returns for it."""
+    for name in names:
+        object.__setattr__(spec, name, check(name, getattr(spec, name), **bounds))
 
 
 def _rule(gt=None, ge=None, lt=None, le=None) -> str:

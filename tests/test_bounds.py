@@ -56,6 +56,15 @@ def test_entrywise_norm_values():
         entrywise_norm(m, 0.5)
 
 
+def test_entrywise_norm_scales_by_the_largest_entry():
+    # scaled only where the sum overflowed: small entries underflowed to 0.0,
+    # and a rounded 1/q put the root of a single entry 9 ulp low
+    assert entrywise_norm(np.full((2, 2), 1e-100), 4.0) == 1.4142135623730953e-100
+    assert entrywise_norm([[2258646351887685.5]], 1.5) == 2258646351887685.5
+    assert entrywise_norm(np.full((2, 2), 1e300), 2.0) == 2e300
+    assert entrywise_norm(np.zeros((2, 3)), 3.0) == 0.0
+
+
 def test_effective_rank_values():
     assert effective_rank(np.diag([2.0, 1.0, 1.0])) == pytest.approx(2.0)
     assert effective_rank(np.eye(6)) == pytest.approx(6.0)

@@ -289,6 +289,19 @@ def test_invalid_env_seed(capsys, monkeypatch):
     assert code == 1 and "COVEST_SEED" in stderr
 
 
+@pytest.mark.parametrize("drop", ["trials", "spike"])
+def test_experiment_config_missing_a_field(capsys, tmp_path, drop):
+    # a config without trials ended in a TypeError traceback, one without
+    # spike printed "error: 'spike'"
+    cfg = json.loads(write_config(tmp_path).read_text())
+    (cfg["source"] if drop == "spike" else cfg).pop(drop)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    code, stdout, stderr = run_cli(capsys, "experiment", "--config", str(tmp_path / "config.json"),
+                                   "--out", str(tmp_path / "out.csv"), "--jobs", "1")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: missing ") and f"['{drop}']" in stderr, stderr
+
+
 def test_experiment_missing_config(capsys, tmp_path):
     code, _, stderr = run_cli(
         capsys, "experiment", "--config", str(tmp_path / "nope.json")

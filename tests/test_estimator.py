@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covest.estimator import (
@@ -289,10 +289,17 @@ def test_fold_gram_diagonal_is_nonnegative(n, count, p, entries):
     entries=st.lists(st.floats(-1e3, 1e3), min_size=48, max_size=48),
     order=st.sampled_from(["C", "F"]),
 )
+# a product that underflows to -0.0: the gemm of two arrays keeps the sign, the
+# syrk of one array added into a +0.0 sum gives +0.0
+@example(n=3, count=5, p=[1.0] * 6,
+         entries=[0.0] * 13 + [3.681912737284931e-248, -4.049235767361456e-280] + [0.0] * 33,
+         order="C")
 def test_fold_gram_scales_the_diagonal_of_every_panel(n, count, p, entries, order):
     # the strided diagonal view of each contiguous panel does the multiplies
     # np.diag_indices_from does on the whole product, into a running sum of
-    # either memory layout; in one panel the sum is the product bit for bit
+    # either memory layout; in one panel the sum is the product bit for bit,
+    # up to the sign of a zero (adding +0.0 turns -0.0 into +0.0 and changes
+    # nothing else)
     rows = np.resize(np.array(entries), (count, n))
     p = np.resize(np.array(p), n)
     expected = (rows / p).T @ (rows / p)
@@ -301,7 +308,7 @@ def test_fold_gram_scales_the_diagonal_of_every_panel(n, count, p, entries, orde
     _fold_gram(rows.copy(), p, gram, _panel_buffer(n))
     _fill_lower(gram)
     if n <= _PANEL:
-        assert gram.tobytes(order="C") == expected.tobytes()
+        assert (gram + 0.0).tobytes(order="C") == (expected + 0.0).tobytes()
     else:
         assert np.array_equal(gram, gram.T)
         assert np.abs(gram - expected).max() <= 4 * n * np.finfo(float).eps * np.abs(expected).max()

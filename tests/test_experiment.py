@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import gzip
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,9 @@ def test_spec_validation():
         small_spec(arms=("uniform", "bogus"))
     with pytest.raises(ValueError, match="distinct"):
         small_spec(arms=("uniform", "uniform"))
+    for fracs in ((0.5, 0.5), (0.5, 1, 1.0)):  # each collapsed to one (arm, frac) key
+        with pytest.raises(ValueError, match="^budget fractions must be a list of distinct numbers"):
+            small_spec(budget_fracs=fracs)
     with pytest.raises(ValueError):
         small_spec(trials=0)
     with pytest.raises(ValueError, match="budget fraction"):
@@ -67,6 +72,101 @@ def test_spec_dict_round_trip():
         ExperimentSpec.from_dict({**spec.to_dict(), "extra": 1})
     with pytest.raises(ValueError, match="unknown source kind"):
         ExperimentSpec.from_dict({**spec.to_dict(), "source": {"kind": "nope"}})
+
+
+
+SPECS = [
+    SyntheticSourceSpec(n=6, spikes=1, spike=16.0, theta=0.125),
+    EmpiricalSourceSpec(images="a.idx", labels="b.idx", digit=3, theta=0.5),
+    small_spec(),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
+def test_to_dict_keys_are_the_dataclass_fields(spec):
+    # the field list is the only statement of the format; a source adds its kind
+    arguments = {f.name for f in dataclasses.fields(spec) if f.init}
+    kind = set() if isinstance(spec, ExperimentSpec) else {"kind"}
+    assert set(spec.to_dict()) == arguments | kind
+    assert json.loads(json.dumps(spec.to_dict())) == spec.to_dict()
+    parse = ExperimentSpec.from_dict if kind == set() else covest.experiment._source_spec_from_dict
+    assert parse(spec.to_dict()) == spec
+
+
+def test_specs_store_the_values_their_checks_return():
+    synthetic = SyntheticSourceSpec(n=np.int64(6), spikes=1.0, spike=16, theta=0)
+    assert (synthetic.n, synthetic.spikes, synthetic.spike, synthetic.theta) == (6, 1, 16.0, 0.0)
+    assert [type(v) for v in (synthetic.n, synthetic.spikes, synthetic.spike, synthetic.theta)] == \
+        [int, int, float, float]
+    empirical = EmpiricalSourceSpec(images=Path("a.idx"), labels=Path("b.idx"), digit=3.0, theta=1)
+    assert (empirical.images, empirical.labels) == ("a.idx", "b.idx")
+    assert type(empirical.digit) is int and type(empirical.theta) is float
+    spec = small_spec(trials=3.0, seed=np.int64(5), q=2, eps=0, eta=100, gamma=np.float32(1),
+                      sigma_ratio=1, budget_fracs=[1])
+    for name in ("batch_size", "iterations", "trials", "seed"):
+        assert type(getattr(spec, name)) is int, name
+    for name in ("q", "eps", "eta", "gamma", "sigma_ratio"):
+        assert type(getattr(spec, name)) is float, name
+    assert spec.budget_fracs == (1.0,) and type(spec.budget_fracs[0]) is float
+    cfg = ActiveConfig(budget=2, batch_size=4.0, iterations=np.int32(2), eps=0, seed=3.0)
+    assert [type(v) for v in (cfg.budget, cfg.batch_size, cfg.iterations, cfg.eps, cfg.seed)] == \
+        [float, int, int, float, int]
+
+
+def test_a_string_number_is_stored_as_the_float_it_names(tmp_path):
+    # "q": "2" passed the check but was kept as a string, and the bounds then
+    # failed with a numpy TypeError after every trial had run
+    spec = ExperimentSpec.from_dict({**small_spec(trials=1).to_dict(), "q": "2"})
+    assert spec.q == 2.0 and type(spec.q) is float
+    export_csv(run_experiment(spec), tmp_path / "out.csv")
+
+
+def test_a_path_is_stored_as_a_string(tmp_path):
+    # a Path ran, and then export_csv failed to write it to the sidecar
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(idx_bytes(np.arange(48, dtype=np.uint8).reshape(3, 4, 4)))
+    labels.write_bytes(idx_bytes(np.array([1, 1, 0], dtype=np.uint8)))
+    spec = small_spec(source=EmpiricalSourceSpec(images=images, labels=labels, digit=1),
+                      arms=("uniform",), trials=1)
+    assert spec.source.images == str(images)
+    export_csv(run_experiment(spec), tmp_path / "out.csv")
+    assert json.loads((tmp_path / "out.meta.json").read_text())["spec"]["source"]["images"] == str(images)
+    with pytest.raises(ValueError, match="^labels must be a path, got 5$"):
+        EmpiricalSourceSpec(images="a.idx", labels=5, digit=1)
+
+
+def test_seed_round_trips_exactly_through_the_sidecar(tmp_path):
+    # counts went through float, so 2**60 + 1 came back as 2**60
+    spec = small_spec(arms=("uniform",), trials=1, seed=2**60 + 1)
+    assert spec.seed == 2**60 + 1
+    export_csv(run_experiment(spec), tmp_path / "out.csv")
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    assert meta["seed"] == 2**60 + 1
+    assert ExperimentSpec.from_dict(meta["spec"]) == spec
+
+
+@pytest.mark.parametrize("change, message", [
+    # an unknown source key was ignored, and the run used theta = 0
+    (lambda c: c["source"].update(thetaa=0.5), r"^unknown source fields: \['thetaa'\]$"),
+    (lambda c: c.pop("trials"), r"^missing experiment fields: \['trials'\]$"),
+    (lambda c: c["source"].pop("spike"), r"^missing source fields: \['spike'\]$"),
+    (lambda c: c.update(source=5), r"^unknown source kind: .* got 5$"),
+    (lambda c: c.update(source=[c["source"]]), r"^unknown source kind: .* got \["),
+    (lambda c: c.update(seed=2.7), r"^seed must be an integer, got 2.7$"),
+    (lambda c: c.update(seed=-1), r"^seed must be nonnegative, got -1"),
+    (lambda c: c.update(q="two"), r"^q must be a number, got 'two'$"),
+], ids=["unknown source key", "no trials", "no spike", "source 5", "source list", "seed 2.7", "seed -1",
+        "q not a number"])
+def test_from_dict_names_bad_config_entries(change, message):
+    config = small_spec().to_dict()
+    change(config)
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_dict(config)
+
+
+def test_from_dict_needs_an_object():
+    with pytest.raises(ValueError, match=r"^experiment must be a JSON object, got \[1\]$"):
+        ExperimentSpec.from_dict([1])
 
 
 def test_result_shapes_and_keys():

@@ -191,7 +191,14 @@ COUNTS = {
     ("data.GaussianStream.draw", "count"): lambda c: _stream().draw(c),
     ("data.EpochStream.draw", "count"): lambda c: EmpiricalSource(ROWS).stream(child_rng(0)).draw(c),
     ("sampling.MaskDistribution.uniform", "n"): lambda c: MaskDistribution.uniform(c, 1.0),
+    ("active.ActiveConfig", "seed"): lambda c: ActiveConfig(**CFG, seed=c),
+    ("active.run_fixed", "seed"): lambda c: run_fixed(_stream(), P, 4, seed=c),
+    ("bounds.calibrate_gamma", "seed"): lambda c: calibrate_gamma(M, P, 20, 10.0, trials=3, seed=c),
+    ("experiment.ExperimentSpec", "seed"): lambda c: _spec(seed=c),
+    ("experiment.ExperimentSpec.from_dict", "seed"): lambda c: ExperimentSpec.from_dict(
+        {**_config(SYNTHETIC), "seed": c}),
 }
+SEEDS = sorted(key for key in COUNTS if key[1] == "seed")
 
 
 @pytest.mark.parametrize("key", sorted(COUNTS), ids=":".join)
@@ -199,6 +206,15 @@ def test_counts_must_be_integers(key):
     with pytest.raises(ValueError, match=rf"^{key[1]} must be an integer, got 2.5$"):
         COUNTS[key](2.5)
     COUNTS[key](4.0)  # an integral float is the count it names
+
+
+@pytest.mark.parametrize("key", SEEDS, ids=":".join)
+def test_seeds_are_nonnegative_and_exact(key):
+    # a negative seed was accepted, and failed once trials started with numpy's
+    # "expected non-negative integer", which names no input
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1"):
+        COUNTS[key](-1)
+    COUNTS[key](2**60 + 1)
 
 
 def _resolve(qualname):
@@ -351,3 +367,17 @@ def test_cli_bad_files_and_vectors_exit_1(files, capsys, key, bad):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {name} must "), captured.err
+
+
+@pytest.mark.parametrize("command", ["active", "calibrate-gamma", "experiment"])
+def test_cli_seeds_are_nonnegative(files, capsys, monkeypatch, command):
+    argv = _commands(files)[command]
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: seed must be nonnegative"), captured.err
+    monkeypatch.setenv("COVEST_SEED", "-2")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: COVEST_SEED must be nonnegative"), captured.err

@@ -183,6 +183,20 @@ def test_empty_matrix_is_rejected_by_name(call, name):
         call(np.zeros((0, 0)))
 
 
+def test_check_count_returns_an_integer_exactly():
+    # integers went through float: 2**60 + 1 came back as 2**60, another seed
+    _check_count = linalg._check_count
+    assert _check_count("seed", 2**60 + 1) == 2**60 + 1
+    assert _check_count("seed", np.uint64(2**63 + 1), ge=0) == 2**63 + 1
+    assert _check_count("flag", True) == 1 and type(_check_count("flag", False)) is int
+    assert _check_count("k", 4.0) == 4 and type(_check_count("k", np.float32(4.0))) is int
+    assert linalg._check_scalar("x", 3) == 3.0 and type(linalg._check_scalar("x", 3)) is float
+    with pytest.raises(ValueError, match=r"^x must be a number, got \[1.0\]$"):
+        linalg._check_scalar("x", [1.0])
+    with pytest.raises(ValueError, match="^x must be a number, got 'one'$"):
+        linalg._check_scalar("x", "one")
+
+
 def test_check_count():
     _check_count = linalg._check_count
     assert _check_count("k", 4.0) == 4 and type(_check_count("k", np.int64(3), ge=1)) is int
