@@ -78,6 +78,11 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _finite_floats(raw: str) -> list:
+    """argparse type for a comma-separated list of finite floats."""
+    return [_finite_float(tok) for tok in raw.split(",")]
+
+
 def _emit(payload: dict) -> None:
     # NaN and inf are not JSON: refuse them before anything reaches stdout
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -189,7 +194,7 @@ def cmd_experiment(args) -> int:
     if args.arms is not None:
         config["arms"] = [a.strip() for a in args.arms.split(",") if a.strip()]
     if args.budgets is not None:
-        config["budget_fracs"] = [float(x) for x in args.budgets.split(",")]
+        config["budget_fracs"] = args.budgets
     if args.seed is not None or "seed" not in config:
         config["seed"] = _resolve_seed(args.seed)
     spec = ExperimentSpec.from_dict(config)
@@ -266,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     x.add_argument("--config", required=True, help="JSON config mirroring the experiment fields")
     x.add_argument("--trials", type=int, default=None, help="override trial count")
     x.add_argument("--arms", default=None, help="override arms, comma-separated")
-    x.add_argument("--budgets", default=None, help="override budget fractions, comma-separated")
+    x.add_argument("--budgets", type=_finite_floats, default=None, help="override budget fractions, comma-separated")
     x.add_argument("--seed", type=int, default=None, help="override master seed")
     x.add_argument("--out", default=None, help="CSV output path (default from config, else results.csv)")
     x.add_argument("--jobs", type=int, default=os.cpu_count() or 1,

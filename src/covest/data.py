@@ -115,7 +115,7 @@ def make_spiked_model(n: int, k: int, spike: float, theta: float = 0.0, seed: in
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n spikes")
     _check_finite("spike", spike, ge=1)  # so it is the top eigenvalue
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, ge=0))
     values = np.ones(n)
     values[rng.permutation(n)[:k]] = float(spike)
     return SyntheticModel(np.diag(values), theta=theta)

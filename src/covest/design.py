@@ -111,7 +111,7 @@ def project_box_simplex(v: np.ndarray, m: float, lo: float = 0.0, hi: float = 1.
     sorted, the segment whose sum brackets m is found by cumulative sums, and
     the pattern at its midpoint is solved (Condat, Math. Prog. 2016). Raises
     when the budget is infeasible for the box. This is the checked boundary;
-    design_probabilities calls the kernel _project on inputs it has checked.
+    _solve calls the kernel _project on inputs that were checked before it.
     """
     v = _check_finite("v", v)
     if v.ndim != 1 or v.size == 0:
@@ -204,63 +204,64 @@ def design_probabilities(diag_sigma: np.ndarray, m: float, eps: float = 1e-3) ->
     tolerance, and both certificates of DesignSolution hold. When the profile
     is flat the answer is exactly uniform by symmetry, with no projection.
     """
+    diag_sigma = _check_profile(diag_sigma)
+    m, eps = float(m), float(eps)
+    _check_budget(diag_sigma.size, m, eps)
+    p, rho, history = _solve(np.sqrt(diag_sigma), m, eps)
+    return DesignSolution(p=MaskDistribution(p), rho=rho, objective=history[-1] if history else 0.0,
+                          iterations=len(history), converged=True, objective_history=history)
+
+
+def _check_profile(diag_sigma) -> np.ndarray:
+    """The variance profile as a nonempty 1-D float vector, finite, >= 0 and not all 0."""
     diag_sigma = _check_finite("variance profile", diag_sigma, ge=0)
     if diag_sigma.ndim != 1 or diag_sigma.size == 0:
         raise ValueError("variance profile must be a nonempty 1-D vector")
     if not np.any(diag_sigma > 0):
         raise ValueError("design needs at least one positive variance")
-    m, eps = float(m), float(eps)
-    n = diag_sigma.size
-    _check_budget(n, m, eps)
-    s = np.sqrt(diag_sigma)
+    return diag_sigma
 
+
+def _solve(s: np.ndarray, m: float, eps: float) -> tuple:
+    # design_probabilities on s = sqrt(profile) of a profile _check_profile
+    # passed and a float budget and floor _check_budget passed: the read-only
+    # design, rho and the objective history
+    n = s.size
     if np.all(s == s[0]):
         p_uniform = min(m / n, 1.0)
-        return DesignSolution(
-            p=MaskDistribution(np.full(n, p_uniform)),
-            rho=p_uniform / s[0],
-            objective=0.0,
-            iterations=0,
-            converged=True,
-        )
-
-    # g(rho) = rho s.s - s.P(rho s) is nondecreasing and piecewise linear, with
-    # g(0) = -(m/n) sum(s) since P(0) is uniform; its root is the optimal rho
-    s2 = float(s @ s)
-    lo, g_lo, hi, g_hi = 0.0, -m / n * float(s.sum()), np.inf, np.inf
-    rho = m / float(s.sum())  # the root when every entry is free
-    history = []
-    while True:
-        p = _project(rho * s, m, eps, 1.0)  # checked by _check_budget
-        history.append(0.5 * float(np.sum((p - rho * s) ** 2)))
-        g = rho * s2 - float(s @ p)
-        if g < 0:
-            lo, g_lo = rho, g
-        else:
-            hi, g_hi = rho, g
-        step = _rho_on_pattern(s, p, m, eps)
-        if step == rho:  # p keeps the pattern its rho was solved on
-            break
-        if not lo < step < hi:
-            # the chord of the bracket; NaN, and so the end, while hi is inf,
-            # since a step from g < 0 only falls short of rho by rounding
-            step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            if not lo < step < hi:  # no float left between the bracket ends
+        p, rho, history = np.full(n, p_uniform), p_uniform / s[0], []
+    else:
+        # g(rho) = rho s.s - s.P(rho s) is nondecreasing and piecewise linear, with
+        # g(0) = -(m/n) sum(s) since P(0) is uniform; its root is the optimal rho
+        s2 = float(s @ s)
+        lo, g_lo, hi, g_hi = 0.0, -m / n * float(s.sum()), np.inf, np.inf
+        rho = m / float(s.sum())  # the root when every entry is free
+        history = []
+        while True:
+            p = _project(rho * s, m, eps, 1.0)  # checked by _check_budget
+            history.append(0.5 * float(np.sum((p - rho * s) ** 2)))
+            g = rho * s2 - float(s @ p)
+            if g < 0:
+                lo, g_lo = rho, g
+            else:
+                hi, g_hi = rho, g
+            step = _rho_on_pattern(s, p, m, eps)
+            if step == rho:  # p keeps the pattern its rho was solved on
                 break
-        rho = step
+            if not lo < step < hi:
+                # the chord of the bracket; NaN, and so the end, while hi is inf,
+                # since a step from g < 0 only falls short of rho by rounding
+                step = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+                if not lo < step < hi:  # no float left between the bracket ends
+                    break
+            rho = step
 
-    # with eps = 0 the optimum can put an entry at 0, which rounding may leave
-    # a hair above; the entries, and so the hair, scale with a budget below 1
-    if eps == 0 and np.any(p <= _bound_tol(0.0, 1.0) * min(1.0, m)):
-        raise ValueError(
-            "design collapsed a coordinate to zero probability; "
-            "use a positive floor (eps) to keep every coordinate observable"
-        )
-    return DesignSolution(
-        p=MaskDistribution(p),
-        rho=rho,
-        objective=history[-1],
-        iterations=len(history),
-        converged=True,
-        objective_history=tuple(history),
-    )
+        # with eps = 0 the optimum can put an entry at 0, which rounding may leave
+        # a hair above; the entries, and so the hair, scale with a budget below 1
+        if eps == 0 and np.any(p <= _bound_tol(0.0, 1.0) * min(1.0, m)):
+            raise ValueError(
+                "design collapsed a coordinate to zero probability; "
+                "use a positive floor (eps) to keep every coordinate observable"
+            )
+    p.flags.writeable = False
+    return p, rho, tuple(history)

@@ -297,6 +297,7 @@ def _run_chunk(args):
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
     """Run all trials and aggregate, identically for any jobs >= 1."""
+    jobs = _check_count("jobs", jobs, ge=1)
     source = _build_source(spec)
     designed = _designed_map(spec, source)
     n = source.dim

@@ -76,6 +76,8 @@ def _check_scalar(name: str, value, **bounds: float) -> float:
 
 def _check_count(name: str, value, **bounds: float) -> int:
     """_check_finite for one whole number: value as an int (an integer input exactly), else ValueError."""
+    if type(value) is int and all(getattr(operator, op)(value, limit) for op, limit in bounds.items()):
+        return value  # the common case, without building an array
     x = _check_finite(name, value, **bounds)
     if x.ndim or not float(x).is_integer():
         raise ValueError(f"{name} must be an integer, got {value}")

@@ -29,16 +29,21 @@ def child_rng(master_seed: int, *key: int) -> np.random.Generator:
 
     Distinct key paths give statistically independent streams that share no
     state, so per-trial / per-batch generators can be created in any order, or
-    in parallel workers, and still reproduce exactly.
+    in parallel workers, and still reproduce exactly. The seed and the keys
+    are nonnegative integers.
     """
-    spawn_key = tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(int(master_seed), spawn_key=spawn_key))
+    return np.random.default_rng(_seed_sequence(master_seed, key))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Deterministic integer seed for the stream addressed by (master_seed, *key)."""
-    spawn_key = tuple(int(k) for k in key)
-    return int(np.random.SeedSequence(int(master_seed), spawn_key=spawn_key).generate_state(1)[0])
+    return int(_seed_sequence(master_seed, key).generate_state(1)[0])
+
+
+def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
+    # the stream address (master_seed, *key), each part a checked count
+    spawn_key = tuple(_check_count("key", k, ge=0) for k in key)
+    return np.random.SeedSequence(_check_count("master_seed", master_seed, ge=0), spawn_key=spawn_key)
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,12 @@ def draw_mask(p: MaskDistribution, rng: np.random.Generator, size: int | None = 
 
     Returns shape (n,) for size=None, else (size, n).
     """
-    shape = p.n if size is None else (int(size), p.n)
-    return (rng.random(shape) < p.p).astype(float)
+    return _draw_mask(p.p, rng, p.n if size is None else (int(size), p.n))
+
+
+def _draw_mask(p: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
+    # draw_mask on a bare array of probabilities, for masks of the given shape
+    return (rng.random(shape) < p).astype(float)
 
 
 def mask_batch(xs: np.ndarray, p: MaskDistribution, rng: np.random.Generator) -> MaskedBatch:

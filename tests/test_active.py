@@ -478,3 +478,73 @@ def test_first_design_takes_the_budget_contract_of_design_probabilities():
         cfg = ActiveConfig(budget=m, batch_size=5, iterations=1)
         first = run_active(model.stream(child_rng(0)), cfg).records[0].design
         assert np.array_equal(first, MaskDistribution.uniform(4, m).p)
+
+
+class _HugeOracle:
+    dim = 3
+
+    def draw(self, count):
+        return np.full((count, 3), 1e160)
+
+
+def test_loop_rejects_an_overflowing_profile():
+    # the rows are finite, but their squares overflow the running profile to inf
+    with pytest.raises(ValueError, match="variance profile must be finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_active(_HugeOracle(), ActiveConfig(budget=1.5, batch_size=4, iterations=2))
+
+
+def test_designs_are_read_only():
+    model = make_spiked_model(6, 2, 20.0, theta=0.1, seed=0)
+    cfg = ActiveConfig(budget=3.0, batch_size=10, iterations=4)
+    p = MaskDistribution.uniform(6, 3.0)
+    for trace in (run_active(model.stream(child_rng(1)), cfg),
+                  run_fixed(model.stream(child_rng(1)), p, total=40, batch_size=10)):
+        for design in [*(rec.design for rec in trace.records), trace.final_design]:
+            assert design.flags.writeable is False
+
+
+class _UncheckedOracle:
+    """Gaussian rows with a spiked profile; draw does not check its count."""
+
+    dim = 6
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def draw(self, count):
+        return self._rng.standard_normal((count, self.dim)) * np.arange(1.0, 7.0)
+
+
+def _finite_checks(monkeypatch, run) -> int:
+    calls = []
+    original = covest.linalg._check_finite
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in vars(covest).values():
+        if getattr(module, "_check_finite", None) is original:
+            monkeypatch.setattr(module, "_check_finite", counting)
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_loop_checks_only_the_running_profile_per_batch(monkeypatch):
+    # the budget, eps and the oracle's count are fixed for the run; each
+    # redesign checks the profile, the one input that changes per batch
+    truth = np.diag(np.arange(1.0, 7.0) ** 2)
+
+    def active(iterations):
+        cfg = ActiveConfig(budget=3.0, batch_size=10, iterations=iterations, seed=1)
+        return lambda: run_active(_UncheckedOracle(), cfg, truth=truth)
+
+    def fixed(iterations):
+        p = MaskDistribution.uniform(6, 3.0)
+        return lambda: run_fixed(_UncheckedOracle(), p, total=10 * iterations, truth=truth,
+                                 batch_size=10, seed=1)
+
+    assert _finite_checks(monkeypatch, active(12)) - _finite_checks(monkeypatch, active(2)) == 10
+    assert _finite_checks(monkeypatch, fixed(12)) == _finite_checks(monkeypatch, fixed(2))

@@ -24,12 +24,12 @@ from covest.bounds import (
     error_scale_matrix,
     error_scale_norm_bound,
 )
-from covest.cli import _build_parser, _finite_float, main
+from covest.cli import _build_parser, _finite_float, _finite_floats, main
 from covest.data import EmpiricalSource, SyntheticModel, build_empirical_source, make_spiked_model
 from covest.design import design_probabilities, kkt_residual, project_box_simplex
 from covest.estimator import CovarianceEstimate, relative_frobenius_error
-from covest.experiment import EmpiricalSourceSpec, ExperimentSpec, SyntheticSourceSpec
-from covest.sampling import MaskDistribution, MaskedBatch, child_rng, mask_batch
+from covest.experiment import EmpiricalSourceSpec, ExperimentSpec, SyntheticSourceSpec, run_experiment
+from covest.sampling import MaskDistribution, MaskedBatch, child_rng, derive_seed, mask_batch
 
 MODULES = (active, bounds, data, design, estimator, experiment, sampling)
 # result records: built by the library from checked inputs, never called with user input
@@ -197,8 +197,15 @@ COUNTS = {
     ("experiment.ExperimentSpec", "seed"): lambda c: _spec(seed=c),
     ("experiment.ExperimentSpec.from_dict", "seed"): lambda c: ExperimentSpec.from_dict(
         {**_config(SYNTHETIC), "seed": c}),
+    ("experiment.run_experiment", "jobs"): lambda c: run_experiment(_spec(trials=1), jobs=c),
+    ("data.make_spiked_model", "seed"): lambda c: make_spiked_model(4, 1, 9.0, seed=c),
+    ("sampling.child_rng", "master_seed"): lambda c: child_rng(c, 1),
+    ("sampling.child_rng", "key"): lambda c: child_rng(0, 1, c),
+    ("sampling.derive_seed", "master_seed"): lambda c: derive_seed(c, 1),
+    ("sampling.derive_seed", "key"): lambda c: derive_seed(0, 1, c),
 }
-SEEDS = sorted(key for key in COUNTS if key[1] == "seed")
+# a stream address (master_seed, *key) is a seed too
+SEEDS = sorted(key for key in COUNTS if key[1] in ("seed", "master_seed", "key"))
 
 
 @pytest.mark.parametrize("key", sorted(COUNTS), ids=":".join)
@@ -212,7 +219,7 @@ def test_counts_must_be_integers(key):
 def test_seeds_are_nonnegative_and_exact(key):
     # a negative seed was accepted, and failed once trials started with numpy's
     # "expected non-negative integer", which names no input
-    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match=rf"^{key[1]} must be nonnegative, got -1"):
         COUNTS[key](-1)
     COUNTS[key](2**60 + 1)
 
@@ -300,7 +307,7 @@ FLAGS = sorted(
     (command, option.option_strings[0])
     for command, parser in _subparsers().items()
     for option in parser._actions
-    if option.type in (float, _finite_float)
+    if option.type in (float, _finite_float, _finite_floats)
 )
 
 
@@ -326,8 +333,6 @@ INPUTS = {
         lambda d, b: [*_commands(d)["calibrate-gamma"], "--sigma", _write(d / "bad.csv", f"{b!r},0\n0,1\n")],
         "cov"),
     ("calibrate-gamma", "--p"): (lambda d, b: [*_commands(d)["calibrate-gamma"], f"--p={b!r},0.5"], "p"),
-    ("experiment", "--budgets"): (lambda d, b: [*_commands(d)["experiment"], f"--budgets=0.5,{b!r}"],
-                                  "budget fraction"),
     ("experiment", "--config eta"): (
         lambda d, b: [*_commands(d)["experiment"], "--config",
                       _write(d / "bad.json", (d / "config.json").read_text()[:-1] + f', "eta": {json.dumps(b)}}}')],
@@ -381,3 +386,21 @@ def test_cli_seeds_are_nonnegative(files, capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: COVEST_SEED must be nonnegative"), captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_must_be_positive(files, capsys, jobs):
+    # --jobs 0 and -3 ran serially and exited 0
+    code = main([*_commands(files)["experiment"], "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert any(line.startswith("error: jobs must ") for line in captured.err.splitlines()), captured.err
+
+
+def test_cli_budgets_name_their_flag(files, capsys):
+    # a token that is no number exited 1 with float()'s message, which names no flag
+    with pytest.raises(SystemExit) as exc:
+        main([*_commands(files)["experiment"], "--budgets", "0.5,abc"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --budgets: " in captured.err
