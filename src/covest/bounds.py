@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import SyntheticModel
 from .estimator import estimate_cov
-from .linalg import _check_count, _check_finite, check_psd_spectrum, check_square, check_symmetric, psd_sqrt_factor
+from .linalg import _check_count, _check_finite, check_psd_spectrum, check_square, check_symmetric
 from .sampling import MaskDistribution, child_rng, mask_batch
 
 __all__ = [
@@ -78,7 +79,7 @@ def _scale_norm(d: np.ndarray, p: np.ndarray, sigma_ratio: float, q: float) -> f
     The inner sum is an exclusive prefix: cumsum(w) - w would cancel where
     one w dominates the ones before it. Where top or the result is not
     finite, the norm comes from the matrix, whose check names an entry that
-    overflows.
+    overflows; a norm past float range raises too.
     """
     s2 = sigma_ratio**2
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -97,7 +98,10 @@ def _scale_norm(d: np.ndarray, p: np.ndarray, sigma_ratio: float, q: float) -> f
             norm = top * (2.0 * c * np.dot(w, prefix) + np.sum((diag / top) ** q)) ** (1.0 / q)
             if np.isfinite(norm):
                 return float(norm)
-    return _entrywise_norm(_check_finite("error scale matrix", _scale_matrix(d, p, sigma_ratio)), q)
+        norm = _entrywise_norm(_check_finite("error scale matrix", _scale_matrix(d, p, sigma_ratio)), q)
+    if not norm < np.inf:
+        raise ValueError(f"error scale matrix norm must be finite, got {norm}")
+    return norm
 
 
 def entrywise_norm(matrix: np.ndarray, q: float) -> float:
@@ -257,7 +261,8 @@ def calibrate_gamma(
     covariance, inverts the bound for each observed error (closed form since
     the bound is monotone in gamma), and returns the conservative empirical
     quantile. Calibration, not proof: the guarantee is exact on the simulated
-    trials and approximate off them.
+    trials and approximate off them. The rows come from one
+    ``data.SyntheticModel(cov)``, so a diagonal cov is drawn without an eigh.
     """
     samples = _check_count("samples", samples, ge=1)
     _check_finite("eta", eta, gt=1)
@@ -265,13 +270,15 @@ def calibrate_gamma(
     _check_finite("q", q, ge=1)
     seed = _check_count("seed", seed, ge=0)
     cov = check_symmetric(cov, "cov")
+    if not np.any(cov):
+        raise ValueError("cov must be nonzero")
     scale_norm = _scale_norm(_scale_diagonal(cov, p, sigma_ratio), p.p, sigma_ratio, q)
     rate_per_gamma = (2.0 * math.log(p.n) + math.log(eta)) / samples
-    factor = psd_sqrt_factor(cov)
+    model = SyntheticModel(cov)
     implied = np.empty(trials)
     for r in range(trials):
         rng = child_rng(seed, r)
-        xs = rng.standard_normal((samples, p.n)) @ factor.T
+        xs = model.stream(rng).draw(samples)
         est = estimate_cov(mask_batch(xs, p, rng), p)
         err = _entrywise_norm(est.matrix - cov, q)
         implied[r] = _implied_gamma(err, scale_norm, rate_per_gamma)

@@ -198,9 +198,11 @@ def cmd_experiment(args) -> int:
     if args.seed is not None or "seed" not in config:
         config["seed"] = _resolve_seed(args.seed)
     spec = ExperimentSpec.from_dict(config)
+    # run_experiment starts at most one worker per trial
+    jobs = min(_check_count("jobs", args.jobs, ge=1), spec.trials)
     _log(f"running {spec.trials} trials x {len(spec.arms)} arms "
-         f"({spec.iterations} checkpoints of {spec.batch_size} samples), jobs={args.jobs}")
-    result = run_experiment(spec, jobs=args.jobs)
+         f"({spec.iterations} checkpoints of {spec.batch_size} samples), jobs={jobs}")
+    result = run_experiment(spec, jobs=jobs)
     export_csv(result, out)
     _log(f"wrote {out} and {Path(out).with_suffix('.meta.json')}")
     print(str(out))

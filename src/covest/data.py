@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import (  # noqa: F401
     _check_count,
     _check_finite,
-    _sqrt_factor,
     check_symmetric,
     clamped_sqrt,
     psd_sqrt_factor,
@@ -44,36 +43,33 @@ class SyntheticModel:
     the same amount, so the effective rank of sigma is
     (erank(base) + n * theta) / (1 + theta) exactly.
 
-    top_eigenvalue is the largest eigenvalue of sigma, read from the
-    decomposition the build runs anyway: the largest diagonal entry when
-    base is diagonal, else the top eigenvalue of the eigh that roots sigma.
-    It is not (1 + theta) * ||base|| when base is indefinite.
+    sigma has base's eigenvectors with every eigenvalue shifted by
+    theta * ||base||, so the build takes base's eigenpairs once: its diagonal
+    and the coordinate axes when base is diagonal, else one eigh. ||base||,
+    top_eigenvalue (base's largest eigenvalue plus the shift) and the root of
+    sigma are read from them. top_eigenvalue is not (1 + theta) * ||base||
+    when base is indefinite.
     """
 
     def __init__(self, base_cov: np.ndarray, theta: float = 0.0):
         base_cov = check_symmetric(base_cov, "base_cov")
         self.base_cov = base_cov
         self.theta = float(_check_finite("theta", theta, ge=0))
-        diagonal = np.diagonal(base_cov)
-        is_diagonal = np.count_nonzero(base_cov) == np.count_nonzero(diagonal)
-        # a diagonal matrix's eigenvalues are its diagonal entries, so eigh
-        # would return them exactly; skip it
-        if is_diagonal:
-            self.base_spectral_norm = float(np.max(np.abs(diagonal)))
-        else:
-            self.base_spectral_norm = spectral_norm(base_cov)
+        # a diagonal base's eigenpairs are its diagonal entries and the
+        # coordinate axes, written v = None, so it needs no eigh
+        w, v = np.diagonal(base_cov), None
+        if np.count_nonzero(base_cov) != np.count_nonzero(w):
+            w, v = np.linalg.eigh(base_cov)
+        self.base_spectral_norm = float(np.max(np.abs(w)))
         if self.base_spectral_norm == 0.0:
-            raise ValueError("base covariance must be nonzero")
-        self.sigma = base_cov + self.theta * self.base_spectral_norm * np.eye(base_cov.shape[0])
+            raise ValueError("base_cov must be nonzero")
+        shift = self.theta * self.base_spectral_norm
+        self.sigma = base_cov + shift * np.eye(base_cov.shape[0])
+        self.top_eigenvalue = float(np.max(w) + shift)
+        root = clamped_sqrt(w + shift)
+        self.factor = np.diag(root) if v is None else (v * root) @ v.T
         # _root is the diagonal of the factor when the factor is diagonal, else None
-        if is_diagonal:
-            self._root = clamped_sqrt(np.diagonal(self.sigma))
-            self.factor = np.diag(self._root)
-            self.top_eigenvalue = float(np.max(np.diagonal(self.sigma)))
-        else:
-            self._root = None
-            self.factor, w = _sqrt_factor(self.sigma)
-            self.top_eigenvalue = float(w[-1])
+        self._root = root if v is None else None
 
     @property
     def dim(self) -> int:

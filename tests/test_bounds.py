@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import covest.bounds
 from covest.bounds import (
+    _implied_gamma,
     _scale_norm,
     bound_report,
     calibrate_gamma,
@@ -16,11 +17,12 @@ from covest.bounds import (
     error_scale_matrix,
     error_scale_norm_bound,
 )
+from covest.data import SyntheticModel
 from covest.estimator import estimate_cov
 from covest.linalg import psd_sqrt_factor
 from covest.sampling import MaskDistribution, child_rng, mask_batch
 
-from helpers import rand_psd
+from helpers import count_decompositions, rand_psd
 
 
 def test_error_scale_matrix_example():
@@ -178,6 +180,28 @@ def test_bound_report_survives_a_scale_norm_past_float_range():
         bound_report(np.eye(2), MaskDistribution([1e-200, 1e-200]), 100, 100.0)
 
 
+def _count_trials(monkeypatch) -> list:
+    # calibrate_gamma's trial estimates, appended to the returned list
+    trials = []
+    estimate = covest.bounds.estimate_cov
+    monkeypatch.setattr(covest.bounds, "estimate_cov",
+                        lambda batch, p: trials.append(batch) or estimate(batch, p))
+    return trials
+
+
+def test_a_scale_norm_past_float_range_raises_before_any_trial(monkeypatch):
+    # every entry of the scale matrix is 1e308, but its 2-norm is 2e308:
+    # error_scale_norm_bound returned inf, bound_report named its internal
+    # scale_norm, and calibrate_gamma failed inside its first trial
+    cov, p = np.diag([1e308, 1e308]), MaskDistribution(np.array([1.0, 1.0]))
+    trials = _count_trials(monkeypatch)
+    for call in (lambda: error_scale_norm_bound(cov, p), lambda: bound_report(cov, p, 10, 100.0),
+                 lambda: calibrate_gamma(cov, p, 10, 100.0, trials=5)):
+        with pytest.raises(ValueError, match=r"^error scale matrix norm must be finite, got inf$"):
+            call()
+    assert trials == []
+
+
 EPS = np.finfo(float).eps
 
 
@@ -267,6 +291,52 @@ def test_calibrate_gamma_errors():
         calibrate_gamma(np.eye(2), p, samples=10, eta=1.0)
     with pytest.raises(ValueError, match="eta"):  # was "cannot convert float NaN to integer"
         calibrate_gamma(np.eye(2), p, samples=10, eta=np.nan)
+
+
+def test_calibrate_gamma_rejects_a_zero_covariance(monkeypatch):
+    # the zero matrix raised ZeroDivisionError from _implied_gamma; a zero
+    # diagonal alone is not it, and [[0, 1], [1, 0]] is not positive semidefinite
+    p = MaskDistribution(np.array([0.5, 0.5]))
+    trials = _count_trials(monkeypatch)
+    with pytest.raises(ValueError, match=r"^cov must be nonzero$"):
+        calibrate_gamma(np.zeros((2, 2)), p, 10, 10.0, trials=5)
+    with pytest.raises(ValueError, match=r"^matrix is not positive semidefinite within tolerance$"):
+        calibrate_gamma(np.array([[0.0, 1.0], [1.0, 0.0]]), p, 10, 10.0, trials=5)
+    assert trials == []
+    with pytest.raises(ValueError, match=r"^base_cov must be nonzero$"):
+        SyntheticModel(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kind, expected", [("diagonal", []), ("dense", ["eigh"])])
+def test_one_decomposition_per_gaussian_source(monkeypatch, kind, expected):
+    # a model roots sigma from its base's eigenpairs, and calibrate_gamma draws
+    # through a model: a diagonal cov needs no decomposition, a dense one one eigh
+    cov = np.diag([4.0, 1.0, 2.0]) if kind == "diagonal" else rand_psd(np.random.default_rng(2), 3)
+    calls = count_decompositions(monkeypatch)
+    SyntheticModel(cov, theta=0.5)
+    assert calls == expected
+    calls.clear()
+    calibrate_gamma(cov, MaskDistribution(np.full(3, 0.5)), 20, 10.0, trials=5)
+    assert calls == expected
+
+
+@pytest.mark.parametrize("low, high", [(1e-3, 1.0), (1.0, 1e3)], ids=["sqrt-branch", "linear-branch"])
+@settings(max_examples=100, deadline=None)
+@given(u=st.floats(0.0, 1.0, exclude_min=True), scale_norm=st.floats(1e-3, 1e3),
+       dim=st.integers(1, 1000), samples=st.integers(1, 10_000), eta=st.floats(1.5, 1e4))
+def test_implied_gamma_inverts_the_bound(low, high, u, scale_norm, dim, samples, eta):
+    # the bound at the implied gamma is the error, on either side of the
+    # branch at error == scale_norm
+    err = scale_norm * low * (high / low) ** u
+    rate_per_gamma = (2.0 * math.log(dim) + math.log(eta)) / samples
+    gamma = _implied_gamma(err, scale_norm, rate_per_gamma)
+    assert error_bound(scale_norm, dim, samples, eta, gamma) == pytest.approx(err, rel=1e-12)
+
+
+def test_implied_gamma_example():
+    # err = 3 * scale_norm takes the linear branch: 3 / 0.5, and the bound there is 3
+    assert _implied_gamma(3.0, 1.0, 0.5) == 6.0
+    assert error_bound(1.0, 1, 2, math.exp(1.0), gamma=6.0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_calibrated_bound_covers_fresh_trials():

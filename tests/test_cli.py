@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +308,45 @@ def test_experiment_missing_config(capsys, tmp_path):
         capsys, "experiment", "--config", str(tmp_path / "nope.json")
     )
     assert code == 1 and "error:" in stderr
+
+
+def test_experiment_overrides_reach_the_spec_and_the_rows(capsys, tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "spiked_small.json"
+    out = tmp_path / "out.csv"
+    code, stdout, _ = run_cli(capsys, "experiment", "--config", str(config), "--trials", "2",
+                              "--arms", "uniform, designed", "--budgets", "0.5",
+                              "--out", str(out), "--jobs", "1")
+    assert code == 0 and stdout.strip() == str(out)
+    spec = json.loads((tmp_path / "out.meta.json").read_text())["spec"]
+    assert (spec["trials"], spec["arms"], spec["budget_fracs"]) == (2, ["uniform", "designed"], [0.5])
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    # columns: arm, budget_frac, checkpoint_T, mean_rel_err, std_rel_err, trials, seed
+    assert {(row[0], row[1], row[5]) for row in rows} == {("uniform", "0.5", "2"), ("designed", "0.5", "2")}
+
+
+def test_experiment_checks_jobs_before_logging_the_run(capsys, tmp_path):
+    # --jobs 0 was logged as "jobs=0" before the error
+    code, stdout, stderr = run_cli(capsys, "experiment", "--config", str(write_config(tmp_path)),
+                                   "--out", str(tmp_path / "out.csv"), "--jobs", "0")
+    assert code == 1 and stdout == ""
+    assert stderr == "error: jobs must lie in [1, inf), got 0.0\n"
+
+
+def test_experiment_logs_the_workers_it_starts(capsys, tmp_path):
+    # run_experiment starts at most one worker per trial
+    code, _, stderr = run_cli(capsys, "experiment", "--config", str(write_config(tmp_path)),
+                              "--trials", "2", "--out", str(tmp_path / "out.csv"), "--jobs", "5")
+    assert code == 0
+    assert stderr.splitlines()[0] == "running 2 trials x 2 arms (2 checkpoints of 5 samples), jobs=2"
+
+
+def test_calibrate_gamma_rejects_a_zero_covariance(capsys, tmp_path):
+    # it exited 1 with a ZeroDivisionError traceback and no error line
+    (tmp_path / "zeros.csv").write_text("0,0\n0,0\n")
+    code, stdout, stderr = run_cli(capsys, "calibrate-gamma", "--sigma", str(tmp_path / "zeros.csv"),
+                                   "--budget-frac", "0.5", "--samples", "10", "--trials", "3")
+    assert code == 1 and stdout == ""
+    assert stderr == "error: cov must be nonzero\n"
 
 
 def test_module_entry_point():

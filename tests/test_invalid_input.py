@@ -355,7 +355,7 @@ def test_cli_table_covers_every_subcommand(files, capsys):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command, flag", FLAGS, ids=":".join)
+@pytest.mark.parametrize("command, flag", FLAGS, ids=[f"{c}:{f}" for c, f in FLAGS])
 def test_cli_float_flags_exit_2(files, capsys, command, flag, bad):
     with pytest.raises(SystemExit) as exc:
         main([*_commands(files)[command], f"{flag}={bad}"])

@@ -147,3 +147,17 @@ def test_batch_loop_leaves_the_gram_to_the_estimator():
         or (isinstance(node, ast.Name) and node.id in _PRODUCTS)
     ]
     assert found == []
+
+
+def test_only_the_data_layer_draws_normal_rows():
+    # data.SyntheticModel roots sigma and its stream draws the rows, with the
+    # diagonal shortcut; a sampler elsewhere would root sigma a second time
+    found = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in SOURCES
+        if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "standard_normal"
+    ]
+    assert SOURCES
+    assert found == []
