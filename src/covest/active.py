@@ -21,9 +21,10 @@ from . import design
 # perfbench/spans.py instruments them
 from .estimator import (  # noqa: F401
     CovarianceEstimate,
+    _batch_estimate,
     _check_reweighting,
     _check_truth,
-    _fill_lower,
+    _estimate_from_sum,
     _fold_gram,
     _panel_buffer,
     estimate_cov,
@@ -81,23 +82,22 @@ class ActiveTrace:
     the loop's running sum on first read and cached; a caller that never reads
     it pays for no n x n divide, mirror or symmetry check. The trace holds
     that one n x n sum; while it ran, the loop also held one panel buffer of
-    at most 128 x n floats (0.8 MB at n = 784). Each rel_error is scored panel
+    min(n, 128) x n floats (0.8 MB at n = 784). Each rel_error is scored panel
     by panel: for n <= 128 it equals relative_frobenius_error of the merged
     estimate bit for bit, above that to a few ulp x n.
     """
 
     records: list = field(default_factory=list)
     final_design: np.ndarray | None = None
-    # the running sum S behind final_estimate = S / samples, kept current on
-    # and above its diagonal blocks only
+    # the running sum S behind final_estimate = S / samples, as _fold_gram
+    # leaves it
     _gram_sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def final_estimate(self) -> CovarianceEstimate | None:
         if self._gram_sum is None:
             return None
-        samples = self.records[-1].sample_count
-        return CovarianceEstimate(_fill_lower(self._gram_sum) / samples, samples)
+        return _estimate_from_sum(self._gram_sum, self.records[-1].sample_count)
 
     def errors(self) -> np.ndarray:
         """Relative errors by iteration (NaN where no truth was supplied)."""
@@ -119,15 +119,17 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
 
     S / samples is the merged estimate under merge_estimates' sample-count
     rule, and the redesign reads only its diagonal. Each batch is folded into
-    S by estimator._fold_gram in row panels of its upper triangle, and each
-    panel is scored against truth while it is in cache, so a step touches
-    each entry of S once. The loop holds S plus one panel buffer of at most
-    128 x n floats (0.8 MB at n = 784) and the batch's rows. S stays on the
-    trace, for final_estimate to mirror and divide on first read. The trace
-    equals composing estimate_cov, merge_estimates and
-    relative_frobenius_error to rounding, without their n x n temporaries;
-    for n <= 128 (one panel) rel_error equals relative_frobenius_error of the
-    merged estimate bit for bit, above that to a few ulp x n.
+    S by estimator._fold_gram, and each part of S it touches is scored
+    against truth while it is in cache, so a step touches each entry of S
+    once. The loop holds S plus one panel buffer of min(n, 128) x n floats
+    (0.8 MB at n = 784) and the batch's rows. S stays on the trace, for
+    final_estimate to read on first use. The trace equals composing
+    estimate_cov, merge_estimates and relative_frobenius_error to rounding,
+    without their n x n temporaries; for n <= 128 rel_error equals
+    relative_frobenius_error of the merged estimate bit for bit, above that
+    to a few ulp x n. With record_matrices, each batch estimate is built as
+    estimate_cov builds it, by folding a copy of the masked rows into a
+    fresh zero sum, and equals estimate_cov of the batch bit for bit.
     """
     n = p.size
     if truth is not None:
@@ -152,11 +154,11 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
         masks = _draw_mask(p, rng, (count, n))
         observed_count = int(masks.sum())
         samples += count
-        batch = np.zeros((n, n)) if record_matrices else None
-        sq = _fold_gram(np.multiply(masks, xs, out=masks), p, gram_sum, buffer,
-                        batch=batch, truth=truth, samples=samples)
-        batch_estimate = CovarianceEstimate(_fill_lower(batch) / count, count) if record_matrices else None
-        merged = CovarianceEstimate(_fill_lower(gram_sum) / samples, samples) if record_matrices else None
+        observed = np.multiply(masks, xs, out=masks)
+        # built before the fold below scales observed in place
+        batch_estimate = _batch_estimate(observed, p) if record_matrices else None
+        sq = _fold_gram(observed, p, gram_sum, buffer, truth=truth, samples=samples)
+        merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
         rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
         trace.records.append(
             IterationRecord(

@@ -136,7 +136,8 @@ def _rank_and_top(cov: np.ndarray) -> tuple[float, float]:
     if w[0] == w[-1] == 0.0:
         raise ValueError("effective rank of the zero matrix is undefined")
     check_psd_spectrum(w)
-    return float(np.sum(w) / w[-1]), float(w[-1])
+    # scaled before the sum, which can overflow near the float limit
+    return float(np.sum(w / w[-1])), float(w[-1])
 
 
 def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: float = 1.0) -> float:

@@ -69,44 +69,29 @@ _PANEL = 128
 
 
 def _panels(n: int) -> list:
-    """Equal row panels [i0, i1) of at most _PANEL rows, covering range(n)."""
-    count = -(-n // _PANEL)
-    bounds = [i * n // count for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _panel_rows(n: int) -> int:
-    """Rows of the tallest panel of _panels(n): ceil(n / count), at most _PANEL."""
-    count = -(-n // _PANEL)
-    return -(-n // count)
+    """Row panels [i0, i1) of _PANEL rows, the last one shorter, covering range(n)."""
+    return [(i0, min(i0 + _PANEL, n)) for i0 in range(0, n, _PANEL)]
 
 
 def _panel_buffer(n: int) -> np.ndarray:
-    """Scratch for _fold_gram: _panel_rows(n) x n floats, room for any panel.
-
-    Panels differ by at most one row, and a later, taller panel can hold more
-    entries than the first (127 x 16320 < 128 x 16193), so the buffer is sized
-    by the tallest panel at full width.
-    """
-    return np.empty(_panel_rows(n) * n)
+    """Scratch for _fold_gram: the first panel, min(n, _PANEL) x n floats, is the largest."""
+    return np.empty(min(n, _PANEL) * n)
 
 
 def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer: np.ndarray,
-               batch: np.ndarray | None = None, truth: np.ndarray | None = None,
-               samples: int = 1) -> float:
+               truth: np.ndarray | None = None, samples: int = 1) -> float:
     """Add the batch's reweighted Gram matrix to the upper triangle of gram_sum.
 
     With a = obs/p (observed is scaled in place), a^T a holds obs_i obs_j /
     (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Row panel [i0, i1)
     is a[:, i0:i1]^T a[:, i0:], computed in buffer and added to
     gram_sum[i0:i1, i0:], so each entry on or above the diagonal blocks is
-    touched once; _fill_lower completes the matrix where a caller reads it
-    whole. batch, when given, receives the same panels. With truth, each panel
-    of gram_sum / samples is scored while it is in cache, and the squared
-    Frobenius error against truth is returned (0.0 without truth): the
-    panel's part right of its diagonal block stands for itself and its
-    mirror image. For n <= _PANEL there is one panel, and the calls are
-    a^T a (syrk) and one dot.
+    touched once; _estimate_from_sum mirrors and divides the sum where a
+    caller reads it whole. With truth, each panel of gram_sum / samples is
+    scored while it is in cache, and the squared Frobenius error against
+    truth is returned (0.0 without truth): the panel's part right of its
+    diagonal block stands for itself and its mirror image. For n <= _PANEL
+    there is one panel, and the calls are a^T a (syrk) and one dot.
     """
     observed /= p
     n = p.shape[0]
@@ -116,8 +101,6 @@ def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer
         panel = np.matmul(observed[:, i0:i1].T, observed[:, i0:],
                           out=buffer[:rows * width].reshape(rows, width))
         panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
-        if batch is not None:
-            batch[i0:i1, i0:] = panel
         block = gram_sum[i0:i1, i0:]
         block += panel
         if truth is not None:
@@ -133,11 +116,22 @@ def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer
     return sq
 
 
-def _fill_lower(matrix: np.ndarray) -> np.ndarray:
-    """Mirror the panels' blocks right of the diagonal blocks below them, in place."""
-    for i0, i1 in _panels(matrix.shape[0])[:-1]:
-        matrix[i1:, i0:i1] = matrix[i0:i1, i1:].T
-    return matrix
+def _estimate_from_sum(gram_sum: np.ndarray, samples: int) -> CovarianceEstimate:
+    """The estimate gram_sum / samples of a sum _fold_gram built.
+
+    Its upper blocks are mirrored below in place first; later folds leave those alone.
+    """
+    for i0, i1 in _panels(gram_sum.shape[0])[:-1]:
+        gram_sum[i1:, i0:i1] = gram_sum[i0:i1, i1:].T
+    return CovarianceEstimate(gram_sum / samples, samples)
+
+
+def _batch_estimate(observed: np.ndarray, p: np.ndarray) -> CovarianceEstimate:
+    """The estimate of one batch of masked rows: a copy folded into a zero sum."""
+    n = p.shape[0]
+    gram_sum = np.zeros((n, n))
+    _fold_gram(observed.copy(), p, gram_sum, _panel_buffer(n))
+    return _estimate_from_sum(gram_sum, observed.shape[0])
 
 
 def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
@@ -149,19 +143,16 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     exactly cancels the expected attenuation from masking, so the estimate is
     unbiased for the true covariance no matter how few coordinates each sample
     reveals. The price is that the output is symmetric but need not be
-    positive semidefinite. The product is formed by _fold_gram, the batch
-    loop's kernel, in row panels of at most 128 x n floats, and mirrored once.
+    positive semidefinite. The product is folded into a zero sum by
+    _fold_gram, the batch loop's kernel, in row panels of min(n, 128) x n
+    floats, and mirrored once.
     """
     observed = _stack_observed(samples, p.n)
     count = observed.shape[0]
     if count == 0:
         raise ValueError("cannot estimate from an empty sample collection")
     _check_reweighting(p.p)
-    matrix = np.zeros((p.n, p.n))
-    _fold_gram(observed.copy(), p.p, matrix, _panel_buffer(p.n))
-    _fill_lower(matrix)
-    matrix /= count
-    return CovarianceEstimate(matrix=matrix, sample_count=count)
+    return _batch_estimate(observed, p.p)
 
 
 def merge_estimates(prev: CovarianceEstimate, batch: CovarianceEstimate) -> CovarianceEstimate:

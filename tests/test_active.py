@@ -1,6 +1,6 @@
 import tracemalloc
 
-import covest.active
+import covest.estimator
 
 import numpy as np
 import pytest
@@ -177,7 +177,7 @@ def test_final_estimate_is_built_on_first_read(monkeypatch):
             built.append(self)
             super().__post_init__()
 
-    monkeypatch.setattr(covest.active, "CovarianceEstimate", Counted)
+    monkeypatch.setattr(covest.estimator, "CovarianceEstimate", Counted)
     model = make_spiked_model(4, 1, 10.0, seed=3)
     p = MaskDistribution.uniform(4, 2.0)
     trace = run_fixed(model.stream(child_rng(5)), p, total=12, truth=model.sigma,
@@ -361,10 +361,31 @@ def test_fixed_loop_matches_reference_chain_property(n, batch_size, iterations, 
     _assert_trace_matches(trace, truth, *reference)
 
 
-def test_multi_panel_split_is_uneven():
-    # n = 301 folds in three row panels of 100, 100 and 101 rows
-    assert _panels(301) == [(0, 100), (100, 200), (200, 301)]
+def test_multi_panel_split_is_fixed_height():
+    # n = 301 folds in three row panels: two of _PANEL rows and the rest
+    assert _panels(301) == [(0, _PANEL), (_PANEL, 2 * _PANEL), (2 * _PANEL, 301)]
     assert _panels(_PANEL) == [(0, _PANEL)]
+
+
+@pytest.mark.parametrize("adapt", [True, False])
+def test_multi_panel_batch_estimates_are_estimate_cov_bitwise(adapt):
+    # a recorded batch estimate is the batch's rows folded into a zero sum,
+    # as estimate_cov folds them, in three panels at n = 301
+    n, batch_size, iterations, seed = 301, 40, 3, 4
+    model = make_spiked_model(n, 3, 30.0, theta=0.1, seed=seed)
+    if adapt:
+        cfg = ActiveConfig(budget=80.0, batch_size=batch_size, iterations=iterations, seed=seed)
+        trace = run_active(model.stream(child_rng(seed, 5)), cfg, truth=model.sigma, record_matrices=True)
+    else:
+        p = design_probabilities(np.diag(model.sigma), 80.0).p
+        trace = run_fixed(model.stream(child_rng(seed, 5)), p, total=batch_size * iterations,
+                          truth=model.sigma, batch_size=batch_size, seed=seed, record_matrices=True)
+    stream = model.stream(child_rng(seed, 5))
+    for t, rec in enumerate(trace.records):
+        p = MaskDistribution(rec.design)
+        expected = estimate_cov(mask_batch(stream.draw(batch_size), p, child_rng(seed, t)), p)
+        assert np.array_equal(rec.batch_estimate.matrix, expected.matrix)
+        assert rec.batch_estimate.sample_count == expected.sample_count
 
 
 @pytest.mark.parametrize("adapt", [True, False])

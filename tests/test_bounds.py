@@ -75,6 +75,11 @@ def test_effective_rank_values():
     assert 1.0 <= effective_rank(cov) <= np.linalg.matrix_rank(cov) + 1e-9
 
 
+def test_effective_rank_near_the_float_limit():
+    # the eigenvalues sum past the float range; divided by the largest first, they do not
+    assert effective_rank(np.diag([1e308, 1e308])) == 2.0
+
+
 def test_effective_rank_errors():
     with pytest.raises(ValueError):
         effective_rank(np.zeros((3, 3)))

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from covest.estimator import (
     _PANEL,
     CovarianceEstimate,
-    _fill_lower,
+    _estimate_from_sum,
     _fold_gram,
     _panel_buffer,
-    _panel_rows,
     _panels,
     estimate_cov,
     merge_estimates,
@@ -245,17 +244,16 @@ def test_relative_frobenius_error():
 
 
 def test_panel_buffer_holds_every_panel():
-    # panels differ by one row, so a later panel can outgrow the first:
-    # at n=16320 the first is 127 x 16320 floats and the second 128 x 16193
-    assert _panels(16320)[:2] == [(0, 127), (127, 255)]
     # np.empty reserves the buffers without touching their pages
     for n in range(1, 20001):
         panels = _panels(n)
-        assert panels[0][0] == 0 and panels[-1][1] == n
-        assert max(i1 - i0 for i0, i1 in panels) == _panel_rows(n) <= _PANEL
+        # consecutive, nonempty panels of at most _PANEL rows cover range(n)
+        assert [i0 for i0, _ in panels] == [0] + [i1 for _, i1 in panels[:-1]]
+        assert panels[-1][1] == n
+        assert all(0 < i1 - i0 <= _PANEL for i0, i1 in panels)
         size = _panel_buffer(n).size
         assert max((i1 - i0) * (n - i0) for i0, i1 in panels) <= size <= _PANEL * n
-    assert _panel_buffer(784).size == 112 * 784
+    assert _panel_buffer(784).size == _PANEL * 784
 
 
 def _folded_gram(rows, p):
@@ -263,7 +261,7 @@ def _folded_gram(rows, p):
     n = p.shape[0]
     gram = np.zeros((n, n))
     _fold_gram(rows, p, gram, _panel_buffer(n))
-    return _fill_lower(gram)
+    return _estimate_from_sum(gram, 1).matrix
 
 
 @settings(max_examples=100, deadline=None)
@@ -306,7 +304,7 @@ def test_fold_gram_scales_the_diagonal_of_every_panel(n, count, p, entries, orde
     expected[np.diag_indices_from(expected)] *= p
     gram = np.zeros((n, n), order=order)
     _fold_gram(rows.copy(), p, gram, _panel_buffer(n))
-    _fill_lower(gram)
+    gram = _estimate_from_sum(gram, 1).matrix
     if n <= _PANEL:
         assert (gram + 0.0).tobytes(order="C") == (expected + 0.0).tobytes()
     else:

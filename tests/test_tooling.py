@@ -149,6 +149,22 @@ def test_batch_loop_leaves_the_gram_to_the_estimator():
     assert found == []
 
 
+_LAYOUT = {"_panels", "_PANEL", "_fill_lower"}
+
+
+def test_batch_loop_leaves_the_layout_to_the_estimator():
+    # estimator.py alone knows how the running sum is split into panels and
+    # mirrored; active.py folds into it and reads it through estimator helpers
+    path = Path(covest.__file__).parent / "active.py"
+    names = {
+        getattr(node, field)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for field in ("id", "attr", "name")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert names & _LAYOUT == set()
+
+
 def test_only_the_data_layer_draws_normal_rows():
     # data.SyntheticModel roots sigma and its stream draws the rows, with the
     # diagonal shortcut; a sampler elsewhere would root sigma a second time
