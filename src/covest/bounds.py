@@ -136,8 +136,16 @@ def _rank_and_top(cov: np.ndarray) -> tuple[float, float]:
     if w[0] == w[-1] == 0.0:
         raise ValueError("effective rank of the zero matrix is undefined")
     check_psd_spectrum(w)
-    # scaled before the sum, which can overflow near the float limit
-    return float(np.sum(w / w[-1])), float(w[-1])
+    return _erank(w, w[-1]), float(w[-1])
+
+
+def _erank(values: np.ndarray, top: float) -> float:
+    # sum(values) / top, for eigenvalues or a diagonal. Both are first divided
+    # by the power of two just above top, which is exact short of underflow:
+    # the result is the plain quotient wherever the plain sum is finite, and
+    # stays finite near the float limit, where that sum overflows
+    shift = -np.frexp(top)[1]
+    return float(np.sum(np.ldexp(values, shift)) / np.ldexp(top, shift))
 
 
 def error_bound(scale_norm: float, dim: int, samples: int, eta: float, gamma: float = 1.0) -> float:

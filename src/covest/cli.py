@@ -3,9 +3,11 @@
 Machine-readable results go to stdout or to files; progress and diagnostics
 go to stderr. Exit status is 0 exactly when the requested computation
 completed. Matrix and vector files are plain CSV, row-major, no header;
-vector arguments also accept inline comma-separated values. The COVEST_SEED
-environment variable supplies the master seed when neither a flag nor a
-config file does.
+vector arguments also accept inline comma-separated values. Either-or inputs
+(--p or --budget-frac, --sigma or --dim) take exactly one of their flags;
+argparse exits 2 on a missing or conflicting pair, as on any bad flag. The
+COVEST_SEED environment variable supplies the master seed when neither a
+flag nor a config file does.
 """
 from __future__ import annotations
 
@@ -19,11 +21,11 @@ import numpy as np
 
 from . import __version__
 from .active import ActiveConfig, run_active
-from .bounds import bound_report, calibrate_gamma, error_scale_matrix
+from .bounds import _erank, bound_report, calibrate_gamma, error_scale_matrix
 from .data import make_spiked_model
 from .design import design_probabilities, kkt_residual
 from .estimator import estimate_cov
-from .experiment import ExperimentSpec, _truth_erank, export_csv, run_experiment
+from .experiment import ExperimentSpec, export_csv, run_experiment
 from .linalg import _check_count
 from .sampling import MaskDistribution, MaskedBatch, child_rng, derive_seed
 
@@ -89,11 +91,10 @@ def _emit(payload: dict) -> None:
 
 
 def _mask_distribution(args, n: int) -> MaskDistribution:
+    # argparse lets exactly one of --p and --budget-frac through
     if args.p is not None:
         return MaskDistribution(_read_vector(args.p))
-    if args.budget_frac is not None:
-        return MaskDistribution.uniform(n, args.budget_frac * n)
-    raise ValueError("give --p or --budget-frac")
+    return MaskDistribution.uniform(n, args.budget_frac * n)
 
 
 def cmd_design(args) -> int:
@@ -143,7 +144,7 @@ def cmd_active(args) -> int:
         "samples": [int(c) for c in trace.sample_counts()],
         "rel_errors": [float(e) for e in trace.errors()],
         "final_design": [float(x) for x in trace.final_design],
-        "truth_erank": _truth_erank(model),
+        "truth_erank": _erank(np.diagonal(model.sigma), model.top_eigenvalue),
         "seed": seed,
     })
     if args.out:
@@ -169,10 +170,8 @@ def cmd_bound(args) -> int:
 def cmd_calibrate_gamma(args) -> int:
     if args.sigma is not None:
         sigma = _read_matrix(args.sigma)
-    elif args.dim is not None:
-        sigma = np.eye(args.dim)
     else:
-        raise ValueError("give --sigma or --dim")
+        sigma = np.eye(_check_count("dim", args.dim, ge=1))
     p = _mask_distribution(args, sigma.shape[0])
     seed = _resolve_seed(args.seed)
     gamma = calibrate_gamma(sigma, p, samples=args.samples, eta=args.eta,
@@ -244,28 +243,28 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", help="also write the error trace to this CSV file")
     a.set_defaults(func=cmd_active)
 
-    b = sub.add_parser("bound", help="high-probability error-bound report")
+    # the inputs of the bound and of its calibration, shared by both subcommands
+    bound_flags = argparse.ArgumentParser(add_help=False)
+    probs = bound_flags.add_mutually_exclusive_group(required=True)
+    probs.add_argument("--p", help="observation probabilities: CSV file or inline vector")
+    probs.add_argument("--budget-frac", type=_finite_float, help="uniform probabilities at this fraction")
+    bound_flags.add_argument("--samples", required=True, type=int)
+    bound_flags.add_argument("--eta", type=_finite_float, default=100.0)
+    bound_flags.add_argument("--q", type=_finite_float, default=2.0)
+    bound_flags.add_argument("--sigma-ratio", type=_finite_float, default=1.0)
+
+    b = sub.add_parser("bound", parents=[bound_flags], help="high-probability error-bound report")
     b.add_argument("--sigma", required=True, help="covariance matrix CSV file")
-    b.add_argument("--p", help="observation probabilities: CSV file or inline vector")
-    b.add_argument("--budget-frac", type=_finite_float, help="uniform probabilities at this fraction")
-    b.add_argument("--samples", required=True, type=int)
-    b.add_argument("--eta", type=_finite_float, default=100.0)
     b.add_argument("--gamma", type=_finite_float, default=1.0)
-    b.add_argument("--q", type=_finite_float, default=2.0)
-    b.add_argument("--sigma-ratio", type=_finite_float, default=1.0)
     b.add_argument("--no-matrix", action="store_true", help="omit the scale matrix from the report")
     b.set_defaults(func=cmd_bound)
 
-    g = sub.add_parser("calibrate-gamma", help="fit the bound constant to Gaussian simulations")
-    g.add_argument("--sigma", help="covariance matrix CSV file")
-    g.add_argument("--dim", type=int, help="use the identity covariance of this dimension")
-    g.add_argument("--p", help="observation probabilities: CSV file or inline vector")
-    g.add_argument("--budget-frac", type=_finite_float)
-    g.add_argument("--samples", required=True, type=int)
-    g.add_argument("--eta", type=_finite_float, default=100.0)
+    g = sub.add_parser("calibrate-gamma", parents=[bound_flags],
+                       help="fit the bound constant to Gaussian simulations")
+    cov = g.add_mutually_exclusive_group(required=True)
+    cov.add_argument("--sigma", help="covariance matrix CSV file")
+    cov.add_argument("--dim", type=int, help="use the identity covariance of this dimension")
     g.add_argument("--trials", type=int, default=1000)
-    g.add_argument("--q", type=_finite_float, default=2.0)
-    g.add_argument("--sigma-ratio", type=_finite_float, default=1.0)
     g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_calibrate_gamma)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .active import ActiveConfig, run_active, run_fixed
 # bound_report and effective_rank stay importable from this module, where
 # perfbench/spans.py instruments them
-from .bounds import BoundReport, _bound_report, bound_report, effective_rank  # noqa: F401
+from .bounds import BoundReport, _bound_report, _erank, bound_report, effective_rank  # noqa: F401
 from .data import build_empirical_source, load_idx, make_spiked_model
 from .design import design_probabilities
 from .linalg import _check_count, _check_finite, _check_scalar, _store_checked
@@ -206,11 +206,6 @@ def _build_source(spec: ExperimentSpec):
     return build_empirical_source(images, labels, src.digit, theta=src.theta)
 
 
-def _truth_erank(source) -> float:
-    # effective_rank(source.sigma) without a second decomposition of sigma
-    return float(np.trace(source.sigma) / source.top_eigenvalue)
-
-
 def _designed_map(spec: ExperimentSpec, source) -> dict:
     if "designed" not in spec.arms:
         return {}
@@ -316,8 +311,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
                 for r, res in pairs:
                     trial_results[r] = res
 
-    truth_erank = _truth_erank(source)
     diagonal = np.diag(source.sigma)
+    # effective_rank(source.sigma) without a second decomposition of sigma
+    truth_erank = _erank(diagonal, source.top_eigenvalue)
     errors = {}
     final_designs = {}
     bound_reports: dict[tuple, BoundReport] = {}

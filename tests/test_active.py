@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covest.active import ActiveConfig, run_active, run_fixed
+from covest.active import ActiveConfig, ActiveTrace, run_active, run_fixed
 from covest.data import make_spiked_model
 from covest.design import design_probabilities
 from covest.estimator import (
@@ -148,6 +148,11 @@ def test_record_matrices_flag():
     assert all(r.batch_estimate is None and r.merged is None for r in trace.records)
     assert np.all(np.isfinite(trace.errors()))
     assert trace.final_estimate is not None
+
+
+def test_empty_trace_has_no_final_estimate():
+    # no batch has been folded into a running sum
+    assert ActiveTrace().final_estimate is None
 
 
 def test_full_budget_matches_fixed_run_bitwise():

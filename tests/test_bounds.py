@@ -17,7 +17,7 @@ from covest.bounds import (
     error_scale_matrix,
     error_scale_norm_bound,
 )
-from covest.data import SyntheticModel
+from covest.data import SyntheticModel, make_spiked_model
 from covest.estimator import estimate_cov
 from covest.linalg import psd_sqrt_factor
 from covest.sampling import MaskDistribution, child_rng, mask_batch
@@ -76,8 +76,24 @@ def test_effective_rank_values():
 
 
 def test_effective_rank_near_the_float_limit():
-    # the eigenvalues sum past the float range; divided by the largest first, they do not
+    # the eigenvalues sum past the float range; scaled to the largest first, they do not
     assert effective_rank(np.diag([1e308, 1e308])) == 2.0
+
+
+def test_truth_erank_near_the_float_limit():
+    # the truth effective rank divided trace(sigma), which is inf here, by the top eigenvalue
+    model = make_spiked_model(4, 4, 1e308)
+    truth_erank = covest.bounds._erank(np.diagonal(model.sigma), model.top_eigenvalue)
+    assert truth_erank == 4.0 == effective_rank(model.sigma)
+
+
+def test_erank_is_the_plain_quotient_where_the_sum_is_finite():
+    # scaling by a power of two rounds nothing, so no finite effective rank moves
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        values = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 50))) * 10.0 ** rng.integers(-200, 200)
+        top = values.max() * rng.uniform(1.0, 2.0)
+        assert covest.bounds._erank(values, top) == np.sum(values) / top
 
 
 def test_effective_rank_errors():

@@ -175,8 +175,43 @@ def test_json_output_refuses_nan(capsys):
 def test_bound_needs_probabilities(capsys, tmp_path):
     sigma = tmp_path / "sigma.csv"
     sigma.write_text("4,0\n0,1\n")
-    code, _, stderr = run_cli(capsys, "bound", "--sigma", str(sigma), "--samples", "100")
-    assert code == 1 and "give --p or --budget-frac" in stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--sigma", str(sigma), "--samples", "100"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "one of the arguments --p --budget-frac is required" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the fraction, and --dim, were dropped without a word, and the run exited 0
+    (["bound", "--sigma", "{sigma}", "--p", "0.5,0.5", "--budget-frac", "0.01"],
+     "argument --budget-frac: not allowed with argument --p"),
+    (["calibrate-gamma", "--dim", "2", "--trials", "3", "--p", "0.5,0.5", "--budget-frac", "0.01"],
+     "argument --budget-frac: not allowed with argument --p"),
+    (["calibrate-gamma", "--dim", "2", "--trials", "3"], "one of the arguments --p --budget-frac is required"),
+    (["calibrate-gamma", "--sigma", "{sigma}", "--dim", "5", "--trials", "3", "--budget-frac", "0.5"],
+     "argument --dim: not allowed with argument --sigma"),
+    (["calibrate-gamma", "--trials", "3", "--budget-frac", "0.5"],
+     "one of the arguments --sigma --dim is required"),
+], ids=["bound:p-and-fraction", "calibrate-gamma:p-and-fraction", "calibrate-gamma:no-p",
+        "calibrate-gamma:sigma-and-dim", "calibrate-gamma:no-sigma"])
+def test_either_or_flags_exit_2(capsys, tmp_path, argv, message):
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("4,0\n0,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*(a.format(sigma=sigma) for a in argv), "--samples", "10"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_calibration_dim_is_a_count(capsys, dim):
+    # numpy's "negative dimensions are not allowed" and "n must lie in [1, inf), got 0.0"
+    code, stdout, stderr = run_cli(capsys, "calibrate-gamma", "--dim", dim, "--budget-frac", "0.5",
+                                   "--samples", "10", "--trials", "3")
+    assert code == 1 and stdout == ""
+    assert stderr.startswith("error: dim must lie in [1, inf)"), stderr
 
 
 def test_calibrate_gamma_deterministic(capsys):
@@ -301,6 +336,14 @@ def test_experiment_config_missing_a_field(capsys, tmp_path, drop):
                                    "--out", str(tmp_path / "out.csv"), "--jobs", "1")
     assert code == 1 and stdout == ""
     assert stderr.startswith("error: missing ") and f"['{drop}']" in stderr, stderr
+
+
+def test_experiment_config_must_be_an_object(capsys, tmp_path):
+    (tmp_path / "config.json").write_text(json.dumps([{"trials": 2}]))
+    code, stdout, stderr = run_cli(capsys, "experiment", "--config", str(tmp_path / "config.json"),
+                                   "--out", str(tmp_path / "out.csv"), "--jobs", "1")
+    assert code == 1 and stdout == ""
+    assert stderr == "error: experiment config must be a JSON object\n"
 
 
 def test_experiment_missing_config(capsys, tmp_path):

@@ -16,6 +16,12 @@ def test_projection_example():
     assert np.allclose(p, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("v", [np.array([]), np.ones((2, 2))], ids=["empty", "2-D"])
+def test_projection_needs_a_nonempty_vector(v):
+    with pytest.raises(ValueError, match="v must be a nonempty 1-D vector"):
+        project_box_simplex(v, 1.0)
+
+
 def test_projection_budget_and_box():
     rng = np.random.default_rng(2)
     for _ in range(100):
