@@ -25,8 +25,7 @@ from .estimator import (  # noqa: F401
     _check_reweighting,
     _check_truth,
     _estimate_from_sum,
-    _fold_gram,
-    _panel_buffer,
+    _folding,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
@@ -82,9 +81,10 @@ class ActiveTrace:
     the loop's running sum on first read and cached; a caller that never reads
     it pays for no n x n divide, mirror or symmetry check. The trace holds
     that one n x n sum; while it ran, the loop also held one panel buffer of
-    min(n, 128) x n floats (0.8 MB at n = 784). Each rel_error is scored panel
-    by panel: for n <= 128 it equals relative_frobenius_error of the merged
-    estimate bit for bit, above that to a few ulp x n.
+    min(n, 128) x n floats (0.8 MB at n = 784) per folding thread, its own
+    and its helpers'. Each rel_error is scored panel by panel: for n <= 128
+    it equals relative_frobenius_error of the merged estimate bit for bit,
+    above that to a few ulp x n.
     """
 
     records: list = field(default_factory=list)
@@ -119,11 +119,16 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
 
     S / samples is the merged estimate under merge_estimates' sample-count
     rule, and the redesign reads only its diagonal. Each batch is folded into
-    S by estimator._fold_gram, and each part of S it touches is scored
-    against truth while it is in cache, so a step touches each entry of S
-    once. The loop holds S plus one panel buffer of min(n, 128) x n floats
-    (0.8 MB at n = 784) and the batch's rows. S stays on the trace, for
-    final_estimate to read on first use. The trace equals composing
+    S panel by panel by an estimator._folding, and each part of S it touches
+    is scored against truth while it is in cache, so a step touches each
+    entry of S once. The panels are shared among this thread and up to one
+    helper thread per spare core (estimator._fold_helpers), which fold while
+    this thread draws the next batch's rows; the helpers are joined before
+    the loop returns or raises, and every output is the same bit for bit
+    with or without them. The loop holds S, one panel buffer of
+    min(n, 128) x n floats (0.8 MB at n = 784) per folding thread, and two
+    batches' rows. S stays on the trace, for final_estimate to read on first
+    use. The trace equals composing
     estimate_cov, merge_estimates and relative_frobenius_error to rounding,
     without their n x n temporaries; for n <= 128 rel_error equals
     relative_frobenius_error of the merged estimate bit for bit, above that
@@ -136,47 +141,52 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
         truth, truth_norm = _check_truth(truth, (n, n))
     _check_reweighting(p)
     gram_sum = np.zeros((n, n))  # the running sum S
-    buffer = _panel_buffer(n)
     samples = 0
     trace = ActiveTrace()
-    for t in range(cfg.iterations):
-        rng = child_rng(cfg.seed, t)
-        # the rows come from outside the program, so they are checked; the
-        # masks are drawn here and need no validation
-        xs = np.asarray(oracle.draw(cfg.batch_size), dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != n:
-            raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
-        count = xs.shape[0]
-        if count == 0:
-            raise ValueError("oracle returned no rows")
-        if not np.isfinite(xs).all():
-            raise ValueError("oracle returned non-finite values (NaN or inf)")
-        masks = _draw_mask(p, rng, (count, n))
-        observed_count = int(masks.sum())
-        samples += count
-        observed = np.multiply(masks, xs, out=masks)
-        # built before the fold below scales observed in place
-        batch_estimate = _batch_estimate(observed, p) if record_matrices else None
-        sq = _fold_gram(observed, p, gram_sum, buffer, truth=truth, samples=samples)
-        merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
-        rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
-        trace.records.append(
-            IterationRecord(
-                iteration=t,
-                design=p,
-                batch_estimate=batch_estimate,
-                merged=merged,
-                rel_error=rel,
-                observed_count=observed_count,
-                sample_count=samples,
+    with _folding(gram_sum, truth) as fold:
+        drawn = oracle.draw(cfg.batch_size)
+        for t in range(cfg.iterations):
+            rng = child_rng(cfg.seed, t)
+            # the rows come from outside the program, so they are checked; the
+            # masks are drawn here and need no validation
+            xs = np.asarray(drawn, dtype=float)
+            if xs.ndim != 2 or xs.shape[1] != n:
+                raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
+            count = xs.shape[0]
+            if count == 0:
+                raise ValueError("oracle returned no rows")
+            if not np.isfinite(xs).all():
+                raise ValueError("oracle returned non-finite values (NaN or inf)")
+            masks = _draw_mask(p, rng, (count, n))
+            observed_count = int(masks.sum())
+            samples += count
+            observed = np.multiply(masks, xs, out=masks)
+            # built before the fold below scales observed in place
+            batch_estimate = _batch_estimate(observed, p) if record_matrices else None
+            fold.start(observed, p, samples)
+            # the next rows do not depend on the design: drawn while the helpers fold
+            if t + 1 < cfg.iterations:
+                drawn = oracle.draw(cfg.batch_size)
+            sq = fold.finish()
+            merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
+            rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
+            trace.records.append(
+                IterationRecord(
+                    iteration=t,
+                    design=p,
+                    batch_estimate=batch_estimate,
+                    merged=merged,
+                    rel_error=rel,
+                    observed_count=observed_count,
+                    sample_count=samples,
+                )
             )
-        )
-        if adapt:
-            # the budget and eps were checked with the first design; the profile is
-            # data, and rows near the float limit overflow it to inf
-            profile = design._check_profile(np.diagonal(gram_sum) / samples)
-            p = design._solve(np.sqrt(profile), cfg.budget, cfg.eps)[0]
-            _check_reweighting(p)
+            if adapt:
+                # the budget and eps were checked with the first design; the profile is
+                # data, and rows near the float limit overflow it to inf
+                profile = design._check_profile(np.diagonal(gram_sum) / samples)
+                p = design._solve(np.sqrt(profile), cfg.budget, cfg.eps)[0]
+                _check_reweighting(p)
     trace.final_design = p
     trace._gram_sum = gram_sum
     return trace
@@ -189,9 +199,11 @@ def run_active(oracle, cfg: ActiveConfig, truth: np.ndarray | None = None,
     oracle supplies raw vectors via draw(count) and a dim attribute; masks are
     drawn here from per-iteration child streams of cfg.seed, so equal
     (oracle stream, cfg) reproduce the trace exactly. truth, when given, is
-    only scored against, never consumed by the loop. The records keep designs,
-    errors and counts; record_matrices=True also keeps each batch's estimate
-    and the running estimate per record, two n x n copies per batch.
+    only scored against, never consumed by the loop. The oracle is asked for
+    batch t + 1 while batch t is folded, always from the calling thread and
+    cfg.iterations times in all. The records keep designs, errors and counts;
+    record_matrices=True also keeps each batch's estimate and the running
+    estimate per record, two n x n copies per batch.
     """
     p0 = design.design_probabilities(np.ones(oracle.dim), cfg.budget, cfg.eps).p.p
     return _run_batches(oracle, p0, cfg, truth, adapt=True, record_matrices=record_matrices)

@@ -1,11 +1,15 @@
 """Unbiased covariance estimation from Bernoulli-masked samples."""
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _check_count, _check_finite, check_symmetric
+from .linalg import _blas_threads, _check_count, _check_finite, check_symmetric
 from .sampling import MaskDistribution, MaskedBatch
 
 __all__ = [
@@ -89,31 +93,98 @@ def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer
     touched once; _estimate_from_sum mirrors and divides the sum where a
     caller reads it whole. With truth, each panel of gram_sum / samples is
     scored while it is in cache, and the squared Frobenius error against
-    truth is returned (0.0 without truth): the panel's part right of its
-    diagonal block stands for itself and its mirror image. For n <= _PANEL
-    there is one panel, and the calls are a^T a (syrk) and one dot.
+    truth is returned (0.0 without truth), the panels' parts added in panel
+    order. For n <= _PANEL there is one panel, and the calls are a^T a (syrk)
+    and one dot. This is a _Fold on the calling thread alone; a batch
+    loop's _folding holds one such buffer per folding thread.
     """
-    observed /= p
-    n = p.shape[0]
-    sq = 0.0
-    for i0, i1 in _panels(n):
-        rows, width = i1 - i0, n - i0
-        panel = np.matmul(observed[:, i0:i1].T, observed[:, i0:],
-                          out=buffer[:rows * width].reshape(rows, width))
-        panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
-        block = gram_sum[i0:i1, i0:]
-        block += panel
-        if truth is not None:
-            np.divide(block, samples, out=panel)
-            panel -= truth[i0:i1, i0:]
-            flat = panel.reshape(-1)
-            total = flat.dot(flat)
-            if rows == width:
-                sq += total
-            else:
-                diag_block = panel[:, :rows]
-                sq += 2.0 * total - np.einsum("ij,ij->", diag_block, diag_block)
-    return sq
+    fold = _Fold(gram_sum, truth, [buffer])
+    fold.start(observed, p, samples)
+    return fold.finish()
+
+
+def _fold_panel(a, p, gram_sum, buffer, i0, i1, truth, samples) -> float:
+    """Fold row panel [i0, i1) of the scaled rows a; return its part of the squared error."""
+    rows, width = i1 - i0, p.shape[0] - i0
+    panel = np.matmul(a[:, i0:i1].T, a[:, i0:], out=buffer[:rows * width].reshape(rows, width))
+    panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
+    block = gram_sum[i0:i1, i0:]
+    block += panel
+    if truth is None:
+        return 0.0
+    np.divide(block, samples, out=panel)
+    panel -= truth[i0:i1, i0:]
+    flat = panel.reshape(-1)
+    total = flat.dot(flat)
+    if rows == width:
+        return total
+    # the part right of the diagonal block stands for itself and its mirror image
+    diag_block = panel[:, :rows]
+    return 2.0 * total - np.einsum("ij,ij->", diag_block, diag_block)
+
+
+class _Fold:
+    """_fold_gram in two halves, each batch's panels shared with one helper per buffer past the first.
+
+    start() hands the panels to the helpers and returns; finish() folds the
+    panels left on the calling thread, waits for the helpers and sums the
+    squared error in panel order, whichever thread folded which panel.
+    """
+
+    def __init__(self, gram_sum, truth, buffers: list, pool=None):
+        self._gram_sum, self._truth, self._buffers, self._pool = gram_sum, truth, buffers, pool
+        self._panels = _panels(gram_sum.shape[0])
+        self._lock = threading.Lock()
+
+    def start(self, observed: np.ndarray, p: np.ndarray, samples: int) -> None:
+        observed /= p
+        self._batch = (observed, p, samples)
+        self._todo = iter(range(len(self._panels)))
+        self._parts = [0.0] * len(self._panels)
+        self._helping = [self._pool.submit(self._work, buffer) for buffer in self._buffers[1:]]
+
+    def finish(self) -> float:
+        self._work(self._buffers[0])
+        for helper in self._helping:
+            helper.result()
+        sq = 0.0
+        for part in self._parts:
+            sq += part
+        return sq
+
+    def _work(self, buffer: np.ndarray) -> None:
+        observed, p, samples = self._batch
+        while True:
+            with self._lock:
+                k = next(self._todo, None)
+            if k is None:
+                return
+            i0, i1 = self._panels[k]
+            self._parts[k] = _fold_panel(observed, p, self._gram_sum, buffer, i0, i1, self._truth, samples)
+
+
+# threads a batch loop folds on, its own included; experiment._init_worker
+# gives each pool worker its share
+_cores = os.cpu_count() or 1
+
+
+def _fold_helpers(n: int) -> int:
+    """Helper threads of a batch loop at dimension n: none for one panel or one core."""
+    return min(len(_panels(n)), _cores) - 1
+
+
+@contextmanager
+def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
+    """A _Fold into gram_sum with _fold_helpers(n) helpers, joined on exit, also on an error.
+
+    BLAS runs at one thread meanwhile, so each product runs in the thread
+    that calls it and rounds as in a serial fold.
+    """
+    n = gram_sum.shape[0]
+    helpers = _fold_helpers(n)
+    # an executor starts its threads on the first submit: with no helpers, none starts
+    with _blas_threads(1), ThreadPoolExecutor(max(helpers, 1)) as pool:
+        yield _Fold(gram_sum, truth, [_panel_buffer(n) for _ in range(1 + helpers)], pool)
 
 
 def _estimate_from_sum(gram_sum: np.ndarray, samples: int) -> CovarianceEstimate:
@@ -130,7 +201,8 @@ def _batch_estimate(observed: np.ndarray, p: np.ndarray) -> CovarianceEstimate:
     """The estimate of one batch of masked rows: a copy folded into a zero sum."""
     n = p.shape[0]
     gram_sum = np.zeros((n, n))
-    _fold_gram(observed.copy(), p, gram_sum, _panel_buffer(n))
+    with _blas_threads(1):
+        _fold_gram(observed.copy(), p, gram_sum, _panel_buffer(n))
     return _estimate_from_sum(gram_sum, observed.shape[0])
 
 
@@ -145,7 +217,8 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     reveals. The price is that the output is symmetric but need not be
     positive semidefinite. The product is folded into a zero sum by
     _fold_gram, the batch loop's kernel, in row panels of min(n, 128) x n
-    floats, and mirrored once.
+    floats, and mirrored once. BLAS runs at one thread meanwhile, so the
+    estimate does not depend on its thread count.
     """
     observed = _stack_observed(samples, p.n)
     count = observed.shape[0]

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import estimator
 from .active import ActiveConfig, run_active, run_fixed
 # bound_report and effective_rank stay importable from this module, where
 # perfbench/spans.py instruments them
@@ -279,9 +280,11 @@ def _run_trial(source, designed: dict, spec: ExperimentSpec, r: int) -> dict:
 _worker_inputs: tuple = ()
 
 
-def _init_worker(source, designed: dict) -> None:
+def _init_worker(source, designed: dict, jobs: int) -> None:
     global _worker_inputs
     _worker_inputs = (source, designed)
+    # the workers share the cores, and each batch loop folds on its worker's share
+    estimator._cores = max(1, estimator._cores // jobs)
 
 
 def _run_chunk(args):
@@ -306,7 +309,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ExperimentResult:
         splits = np.array_split(np.arange(spec.trials), jobs)
         chunk_args = [(spec, [int(r) for r in part]) for part in splits if len(part)]
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(source, designed)) as pool:
+                                 initargs=(source, designed, jobs)) as pool:
             for pairs in pool.map(_run_chunk, chunk_args):
                 for r, res in pairs:
                     trial_results[r] = res

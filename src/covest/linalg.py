@@ -1,7 +1,10 @@
 """Small dense symmetric-matrix helpers shared across the package."""
 from __future__ import annotations
 
+import ctypes
 import operator
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -122,3 +125,48 @@ def clamped_sqrt(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     check_psd_spectrum(w)
     return np.sqrt(np.clip(w, 0.0, None))
+
+
+# (get, set) of the thread count of numpy's bundled OpenBLAS, looked up on the
+# first _blas_threads; () when numpy links another BLAS
+_openblas: tuple | None = None
+# the _blas_threads blocks open in any thread, and the count the first one found
+_pins = {"open": 0, "before": None}
+_pins_lock = threading.Lock()
+
+
+@contextmanager
+def _blas_threads(k: int):
+    """Run the block with numpy's BLAS at k threads; without OpenBLAS, do nothing.
+
+    The count is process-wide. Blocks may nest and overlap across threads:
+    each sets k, and when the last one ends the count is restored to what
+    the first one found.
+    """
+    global _openblas
+    if _openblas is None:
+        try:
+            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get, set_count = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            _openblas = ()
+        else:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_count.argtypes, set_count.restype = [ctypes.c_int], None
+            _openblas = (get, set_count)
+    if not _openblas:
+        yield
+        return
+    get, set_count = _openblas
+    with _pins_lock:
+        if not _pins["open"]:
+            _pins["before"] = get()
+        _pins["open"] += 1
+        set_count(k)
+    try:
+        yield
+    finally:
+        with _pins_lock:
+            _pins["open"] -= 1
+            if not _pins["open"]:
+                set_count(_pins["before"])

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import covest.estimator
 
@@ -14,6 +19,7 @@ from covest.estimator import (
     _PANEL,
     CovarianceEstimate,
     _fold_gram,
+    _fold_helpers,
     _panel_buffer,
     _panels,
     estimate_cov,
@@ -479,8 +485,9 @@ def test_loop_memory_does_not_grow_with_iterations():
 
 def test_loop_holds_one_sum_and_one_panel():
     # at n = 384 (three panels) the loop holds S, one panel buffer of
-    # _PANEL x n floats and the batch's rows; a second n x n buffer for the
-    # batch's Gram matrix puts the peak about half an n x n array above the bound
+    # _PANEL x n floats per folding thread (its own and its helpers) and two
+    # batches' rows; a second n x n buffer for the batch's Gram matrix puts the
+    # peak about half an n x n array above the bound
     n, batch_size = 384, 16
     model = make_spiked_model(n, 2, 20.0, theta=0.1, seed=0)
     p = MaskDistribution.uniform(n, 96.0)
@@ -489,7 +496,7 @@ def test_loop_holds_one_sum_and_one_panel():
                                           batch_size=batch_size, seed=2))
     # the rows, the stream's draw temporaries and the mask draws fit in 8 row blocks
     rows = 8 * batch_size * n * 8
-    assert peak <= (n * n + _PANEL * n) * 8 + rows
+    assert peak <= (n * n + (1 + _fold_helpers(n)) * _PANEL * n) * 8 + rows
 
 
 def test_first_design_takes_the_budget_contract_of_design_probabilities():
@@ -574,3 +581,141 @@ def test_loop_checks_only_the_running_profile_per_batch(monkeypatch):
 
     assert _finite_checks(monkeypatch, active(12)) - _finite_checks(monkeypatch, active(2)) == 10
     assert _finite_checks(monkeypatch, fixed(12)) == _finite_checks(monkeypatch, fixed(2))
+
+
+def _trace_arrays(trace) -> list:
+    arrays = [trace.errors(), trace.designs(), trace.final_design, trace.final_estimate.matrix]
+    for r in trace.records:
+        arrays += [r.batch_estimate.matrix, r.merged.matrix]
+    return arrays
+
+
+@pytest.mark.parametrize("n", [301, 784])
+@pytest.mark.parametrize("adapt", [True, False])
+def test_helper_fold_is_bitwise_the_serial_fold(monkeypatch, n, adapt):
+    # with two cores the panels are shared with one helper thread; with one
+    # core the calling thread folds them all, and every output keeps its bits
+    model = make_spiked_model(n, 4, 30.0, theta=0.1, seed=n)
+    p = MaskDistribution.uniform(n, n / 4)
+
+    def run():
+        stream = model.stream(child_rng(n, 1))
+        if adapt:
+            cfg = ActiveConfig(budget=n / 4, batch_size=40, iterations=3, seed=5)
+            return run_active(stream, cfg, truth=model.sigma, record_matrices=True)
+        return run_fixed(stream, p, total=120, truth=model.sigma, batch_size=40, seed=5,
+                         record_matrices=True)
+
+    monkeypatch.setattr(covest.estimator, "_cores", 1)
+    assert _fold_helpers(n) == 0
+    serial = _trace_arrays(run())
+    monkeypatch.setattr(covest.estimator, "_cores", 2)
+    assert _fold_helpers(n) == 1
+    helped = _trace_arrays(run())
+    assert all(np.array_equal(a, b) for a, b in zip(serial, helped, strict=True))
+
+
+def test_many_helpers_fold_each_panel_once(monkeypatch):
+    # six helpers on two cores, switching threads every microsecond: a panel
+    # claimed twice or not at all would change S and the errors
+    n = 784
+    model = make_spiked_model(n, 4, 30.0, theta=0.1, seed=1)
+    cfg = ActiveConfig(budget=n / 4, batch_size=20, iterations=3, seed=2)
+
+    def run():
+        trace = run_active(model.stream(child_rng(1)), cfg, truth=model.sigma)
+        return [trace.errors(), trace.designs(), trace.final_estimate.matrix]
+
+    monkeypatch.setattr(covest.estimator, "_cores", 1)
+    serial = run()
+    monkeypatch.setattr(covest.estimator, "_cores", 8)
+    assert _fold_helpers(n) == 6
+    helped = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: helped.update(arrays=run()), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert all(np.array_equal(a, b) for a, b in zip(serial, helped["arrays"], strict=True))
+
+
+def test_fold_helpers_take_the_spare_cores(monkeypatch):
+    monkeypatch.setattr(covest.estimator, "_cores", 8)
+    assert [_fold_helpers(n) for n in (1, _PANEL, _PANEL + 1, 301, 784)] == [0, 0, 1, 2, 6]
+    monkeypatch.setattr(covest.estimator, "_cores", 1)
+    assert _fold_helpers(784) == 0
+
+
+class _CountingOracle:
+    """A stream that logs the thread and the live thread count of each draw, and raises on draw fail_at."""
+
+    def __init__(self, n, fail_at=None):
+        self._stream = _DenseStream(n, 3)
+        self.dim = n
+        self.fail_at = fail_at
+        self.calls = []
+
+    def draw(self, count):
+        self.calls.append((threading.get_ident(), threading.active_count()))
+        if len(self.calls) == self.fail_at:
+            raise RuntimeError("oracle failed")
+        return self._stream.draw(count)
+
+
+def test_oracle_is_drawn_once_per_batch_from_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(covest.estimator, "_cores", 2)
+    before = threading.active_count()
+    oracle = _CountingOracle(301)
+    run_active(oracle, ActiveConfig(budget=60.0, batch_size=20, iterations=4), truth=np.eye(301))
+    assert [ident for ident, _ in oracle.calls] == [threading.get_ident()] * 4
+    # the helper starts with the first fold and folds while batches 2-4 are drawn
+    assert [live - before for _, live in oracle.calls] == [0, 1, 1, 1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_a_failing_oracle_leaves_no_helper_running(monkeypatch, fail_at):
+    monkeypatch.setattr(covest.estimator, "_cores", 2)
+    before = threading.active_count()
+    oracle = _CountingOracle(301, fail_at=fail_at)
+    with pytest.raises(RuntimeError, match="oracle failed"):
+        run_fixed(oracle, MaskDistribution.uniform(301, 60.0), total=100, batch_size=20)
+    # the third draw fails while the helper folds the second batch
+    assert [live - before for _, live in oracle.calls] == [0, 1, 1][:fail_at]
+    assert threading.active_count() == before
+
+
+_HASH_RUN = """
+import hashlib
+import numpy as np
+from covest import ActiveConfig, MaskDistribution, child_rng, estimate_cov, make_spiked_model, mask_batch, run_active
+model = make_spiked_model(301, 4, 30.0, theta=0.1, seed=4)
+trace = run_active(model.stream(child_rng(4)), ActiveConfig(budget=75.0, batch_size=40, iterations=4, seed=4),
+                   truth=model.sigma, record_matrices=True)
+p = MaskDistribution.uniform(301, 75.0)
+estimate = estimate_cov(mask_batch(model.stream(child_rng(4, 1)).draw(200), p, child_rng(4, 2)), p)
+h = hashlib.sha256()
+for a in [trace.errors(), trace.designs(), trace.final_design, trace.final_estimate.matrix, estimate.matrix]:
+    h.update(np.ascontiguousarray(a).tobytes())
+for r in trace.records:
+    h.update(r.batch_estimate.matrix.tobytes() + r.merged.matrix.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # each fold pins BLAS to one thread; unpinned, a two-thread product gave
+    # run_active and estimate_cov other trailing digits than one thread
+    src = str(Path(covest.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _HASH_RUN], env=env, capture_output=True,
+                              text=True, check=True)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

@@ -505,3 +505,13 @@ def test_replay_raises_on_a_batch_it_did_not_record():
     assert replay.draw(3) is rows
     with pytest.raises(RuntimeError, match="no recorded batch of 3 rows"):
         replay.draw(3)
+
+
+@pytest.mark.parametrize("cores, jobs, share", [(2, 2, 1), (2, 1, 2), (8, 3, 2), (1, 2, 1)])
+def test_pool_workers_fold_on_their_share_of_the_cores(monkeypatch, cores, jobs, share):
+    # a worker's batch loops fold on cores // jobs threads, so the workers'
+    # helpers do not oversubscribe the cores the pool already fills
+    monkeypatch.setattr(covest.estimator, "_cores", cores)
+    monkeypatch.setattr(covest.experiment, "_worker_inputs", ())
+    covest.experiment._init_worker(None, {}, jobs)
+    assert covest.estimator._cores == share

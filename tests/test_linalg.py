@@ -208,3 +208,64 @@ def test_check_count():
         _check_count("k", np.nan)
     with pytest.raises(ValueError, match=r"^k must lie in \[1, inf\), got 0.0$"):
         _check_count("k", 0, ge=1)
+
+
+def _openblas_calls():
+    with linalg._blas_threads(1):  # looks the symbols up
+        pass
+    if not linalg._openblas:
+        pytest.skip("numpy links no OpenBLAS with the scipy_openblas symbols")
+    return linalg._openblas
+
+
+def test_blas_threads_sets_and_restores_the_count():
+    get = _openblas_calls()[0]
+    before = get()
+    with linalg._blas_threads(1):
+        assert get() == 1
+        with linalg._blas_threads(1):  # as the batch loop's record path nests them
+            assert get() == 1
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(RuntimeError), linalg._blas_threads(1):
+        raise RuntimeError
+    assert get() == before
+
+
+def test_blas_threads_overlapping_in_two_threads_restore_the_first_count():
+    # blocks that end in another order than they began, as in two threads
+    # calling estimate_cov: the first to end must not restore the count
+    # under the other, nor the last restore the count the first had set
+    get, set_count = _openblas_calls()
+    before = get()
+    set_count(2)
+    try:
+        first, second = linalg._blas_threads(1), linalg._blas_threads(1)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
+    finally:
+        set_count(before)
+
+
+@pytest.mark.parametrize("found", [OSError("no such library"), object()])
+def test_blas_threads_without_the_symbols_does_nothing(monkeypatch, found):
+    # numpy on another BLAS: the library or its symbols are missing
+    with linalg._blas_threads(1):  # looks the real symbols up, if numpy has them
+        pass
+    real = linalg._openblas
+
+    def cdll(path):
+        if isinstance(found, Exception):
+            raise found
+        return found
+
+    monkeypatch.setattr(linalg, "_openblas", None)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", cdll)
+    before = real[0]() if real else None
+    with linalg._blas_threads(1 if before != 1 else 2):
+        assert linalg._openblas == ()
+        assert (real[0]() if real else None) == before
