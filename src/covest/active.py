@@ -9,7 +9,7 @@ dependent) design, the merged estimate stays unbiased at every iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -80,17 +80,16 @@ class ActiveTrace:
     final_estimate, the running estimate after the last batch, is built from
     the loop's running sum on first read and cached; a caller that never reads
     it pays for no n x n divide, mirror or symmetry check. The trace holds
-    that one n x n sum; while it ran, the loop also held one panel buffer of
-    min(n, 128) x n floats (0.8 MB at n = 784) per folding thread, its own
-    and its helpers'. Each rel_error is scored panel by panel: for n <= 128
-    it equals relative_frobenius_error of the merged estimate bit for bit,
-    above that to a few ulp x n.
+    that one n x n sum; while it ran, the loop also held the panel buffers
+    that estimator._folding's docstring counts. Each rel_error is scored
+    panel by panel: for n <= 128 it equals relative_frobenius_error of the
+    merged estimate bit for bit, above that to a few ulp x n.
     """
 
     records: list = field(default_factory=list)
     final_design: np.ndarray | None = None
-    # the running sum S behind final_estimate = S / samples, as _fold_gram
-    # leaves it
+    # the running sum S behind final_estimate = S / samples, as the loop's
+    # folds leave it
     _gram_sum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
@@ -118,18 +117,14 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     """The batch loop, with one running sum S of reweighted Gram matrices.
 
     S / samples is the merged estimate under merge_estimates' sample-count
-    rule, and the redesign reads only its diagonal. Each batch is folded into
-    S panel by panel by an estimator._folding, and each part of S it touches
-    is scored against truth while it is in cache, so a step touches each
-    entry of S once. The panels are shared among this thread and up to one
-    helper thread per spare core (estimator._fold_helpers), which fold while
-    this thread draws the next batch's rows; the helpers are joined before
-    the loop returns or raises, and every output is the same bit for bit
-    with or without them. The loop holds S, one panel buffer of
-    min(n, 128) x n floats (0.8 MB at n = 784) per folding thread, and two
-    batches' rows. S stays on the trace, for final_estimate to read on first
-    use. The trace equals composing
-    estimate_cov, merge_estimates and relative_frobenius_error to rounding,
+    rule, and the redesign reads only its diagonal. Each batch is one fold of
+    an estimator._folding into S, which scores each part of S it touches
+    against truth while it is in cache, so a step touches each entry of S
+    once, and which draws the next batch's rows on this thread while its
+    helpers fold; _folding's docstring gives its threads and memory. The
+    loop holds S, the fold's panel buffers and two batches' rows. S stays on
+    the trace, for final_estimate to read on first use. The trace equals
+    composing estimate_cov, merge_estimates and relative_frobenius_error to rounding,
     without their n x n temporaries; for n <= 128 rel_error equals
     relative_frobenius_error of the merged estimate bit for bit, above that
     to a few ulp x n. With record_matrices, each batch estimate is built as
@@ -143,8 +138,9 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     gram_sum = np.zeros((n, n))  # the running sum S
     samples = 0
     trace = ActiveTrace()
+    draw = partial(oracle.draw, cfg.batch_size)
     with _folding(gram_sum, truth) as fold:
-        drawn = oracle.draw(cfg.batch_size)
+        drawn = draw()
         for t in range(cfg.iterations):
             rng = child_rng(cfg.seed, t)
             # the rows come from outside the program, so they are checked; the
@@ -163,11 +159,8 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
             observed = np.multiply(masks, xs, out=masks)
             # built before the fold below scales observed in place
             batch_estimate = _batch_estimate(observed, p) if record_matrices else None
-            fold.start(observed, p, samples)
             # the next rows do not depend on the design: drawn while the helpers fold
-            if t + 1 < cfg.iterations:
-                drawn = oracle.draw(cfg.batch_size)
-            sq = fold.finish()
+            sq, drawn = fold(observed, p, samples, draw if t + 1 < cfg.iterations else None)
             merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
             rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
             trace.records.append(

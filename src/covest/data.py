@@ -16,6 +16,7 @@ import numpy as np
 # psd_sqrt_factor stays importable from this module, where perfbench/spans.py
 # instruments it
 from .linalg import (  # noqa: F401
+    _blas_threads,
     _check_count,
     _check_finite,
     check_symmetric,
@@ -136,8 +137,11 @@ class EmpiricalSource:
         centered.flags.writeable = False
         self.records = centered
         self.theta = float(_check_finite("theta", theta, ge=0))
-        self.base_cov = centered.T @ centered / centered.shape[0]
-        self.base_spectral_norm = spectral_norm(self.base_cov)
+        # at one BLAS thread, as the batch loop folds: the product and the
+        # eigenvalues round differently on more threads
+        with _blas_threads(1):
+            self.base_cov = centered.T @ centered / centered.shape[0]
+            self.base_spectral_norm = spectral_norm(self.base_cov)
         if self.base_spectral_norm == 0.0:
             raise ValueError("records must not be identical")
         self.noise_scale = float(np.sqrt(self.theta * self.base_spectral_norm))

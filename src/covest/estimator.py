@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,29 +78,8 @@ def _panels(n: int) -> list:
 
 
 def _panel_buffer(n: int) -> np.ndarray:
-    """Scratch for _fold_gram: the first panel, min(n, _PANEL) x n floats, is the largest."""
+    """Scratch for one of _folding's threads: the first panel, min(n, _PANEL) x n floats, is the largest."""
     return np.empty(min(n, _PANEL) * n)
-
-
-def _fold_gram(observed: np.ndarray, p: np.ndarray, gram_sum: np.ndarray, buffer: np.ndarray,
-               truth: np.ndarray | None = None, samples: int = 1) -> float:
-    """Add the batch's reweighted Gram matrix to the upper triangle of gram_sum.
-
-    With a = obs/p (observed is scaled in place), a^T a holds obs_i obs_j /
-    (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Row panel [i0, i1)
-    is a[:, i0:i1]^T a[:, i0:], computed in buffer and added to
-    gram_sum[i0:i1, i0:], so each entry on or above the diagonal blocks is
-    touched once; _estimate_from_sum mirrors and divides the sum where a
-    caller reads it whole. With truth, each panel of gram_sum / samples is
-    scored while it is in cache, and the squared Frobenius error against
-    truth is returned (0.0 without truth), the panels' parts added in panel
-    order. For n <= _PANEL there is one panel, and the calls are a^T a (syrk)
-    and one dot. This is a _Fold on the calling thread alone; a batch
-    loop's _folding holds one such buffer per folding thread.
-    """
-    fold = _Fold(gram_sum, truth, [buffer])
-    fold.start(observed, p, samples)
-    return fold.finish()
 
 
 def _fold_panel(a, p, gram_sum, buffer, i0, i1, truth, samples) -> float:
@@ -123,72 +102,76 @@ def _fold_panel(a, p, gram_sum, buffer, i0, i1, truth, samples) -> float:
     return 2.0 * total - np.einsum("ij,ij->", diag_block, diag_block)
 
 
-class _Fold:
-    """_fold_gram in two halves, each batch's panels shared with one helper per buffer past the first.
-
-    start() hands the panels to the helpers and returns; finish() folds the
-    panels left on the calling thread, waits for the helpers and sums the
-    squared error in panel order, whichever thread folded which panel.
-    """
-
-    def __init__(self, gram_sum, truth, buffers: list, pool=None):
-        self._gram_sum, self._truth, self._buffers, self._pool = gram_sum, truth, buffers, pool
-        self._panels = _panels(gram_sum.shape[0])
-        self._lock = threading.Lock()
-
-    def start(self, observed: np.ndarray, p: np.ndarray, samples: int) -> None:
-        observed /= p
-        self._batch = (observed, p, samples)
-        self._todo = iter(range(len(self._panels)))
-        self._parts = [0.0] * len(self._panels)
-        self._helping = [self._pool.submit(self._work, buffer) for buffer in self._buffers[1:]]
-
-    def finish(self) -> float:
-        self._work(self._buffers[0])
-        for helper in self._helping:
-            helper.result()
-        sq = 0.0
-        for part in self._parts:
-            sq += part
-        return sq
-
-    def _work(self, buffer: np.ndarray) -> None:
-        observed, p, samples = self._batch
-        while True:
-            with self._lock:
-                k = next(self._todo, None)
-            if k is None:
-                return
-            i0, i1 = self._panels[k]
-            self._parts[k] = _fold_panel(observed, p, self._gram_sum, buffer, i0, i1, self._truth, samples)
-
-
 # threads a batch loop folds on, its own included; experiment._init_worker
 # gives each pool worker its share
 _cores = os.cpu_count() or 1
 
 
-def _fold_helpers(n: int) -> int:
-    """Helper threads of a batch loop at dimension n: none for one panel or one core."""
-    return min(len(_panels(n)), _cores) - 1
-
-
 @contextmanager
 def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
-    """A _Fold into gram_sum with _fold_helpers(n) helpers, joined on exit, also on an error.
+    """Yield fold(observed, p, samples, meanwhile=None) -> (sq, meanwhile()), adding batches to gram_sum.
 
-    BLAS runs at one thread meanwhile, so each product runs in the thread
-    that calls it and rounds as in a serial fold.
+    With a = observed / p (observed is scaled in place), a^T a holds
+    obs_i obs_j / (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Each
+    fold adds that product to the upper triangle of gram_sum in row panels
+    [i0, i1) of _PANEL rows: panel a[:, i0:i1]^T a[:, i0:] is computed in a
+    buffer and added to gram_sum[i0:i1, i0:], so each entry on or above the
+    diagonal blocks is touched once; _estimate_from_sum mirrors and divides
+    the sum where a caller reads it whole. With truth, each panel of
+    gram_sum / samples is scored while it is in cache, and sq is the squared
+    Frobenius error against truth (0.0 without truth), the panels' parts
+    added in panel order. For n <= _PANEL there is one panel, and the calls
+    are a^T a (syrk) and one dot.
+
+    The panels are shared among the calling thread and one helper thread
+    per spare core, min(panels, _cores) - 1 of them, so none (and no
+    executor) for n <= _PANEL or one core. The helpers start folding, the
+    calling thread runs meanwhile (the batch loop draws its next rows
+    there), then folds the panels still left and waits for the helpers.
+    Whichever thread folds a panel, every output is the same bit for bit.
+    Each folding thread holds one panel buffer of min(n, _PANEL) x n floats
+    (0.8 MB at n = 784) and, while it adds a strided panel, numpy's two
+    ufunc buffers of 64 KB. BLAS runs at one thread in the block, so each
+    product runs in the thread that calls it and rounds as in a serial
+    fold. The helpers are joined when the block ends, also when meanwhile
+    or the caller raises.
     """
     n = gram_sum.shape[0]
-    helpers = _fold_helpers(n)
-    # an executor starts its threads on the first submit: with no helpers, none starts
-    with _blas_threads(1), ThreadPoolExecutor(max(helpers, 1)) as pool:
-        yield _Fold(gram_sum, truth, [_panel_buffer(n) for _ in range(1 + helpers)], pool)
+    panels = _panels(n)
+    helpers = min(len(panels), _cores) - 1
+    buffers = [_panel_buffer(n) for _ in range(1 + helpers)]
+    lock = threading.Lock()
+
+    def fold(observed: np.ndarray, p: np.ndarray, samples: int, meanwhile=None):
+        observed /= p
+        todo = iter(range(len(panels)))
+        parts = [0.0] * len(panels)
+
+        def work(buffer):
+            while True:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                i0, i1 = panels[k]
+                parts[k] = _fold_panel(observed, p, gram_sum, buffer, i0, i1, truth, samples)
+
+        helping = [pool.submit(work, buffer) for buffer in buffers[1:]]
+        drawn = None if meanwhile is None else meanwhile()
+        work(buffers[0])
+        for helper in helping:
+            helper.result()
+        sq = 0.0
+        for part in parts:
+            sq += part
+        return sq, drawn
+
+    with _blas_threads(1), (ThreadPoolExecutor(helpers) if helpers else nullcontext()) as pool:
+        yield fold
 
 
 def _estimate_from_sum(gram_sum: np.ndarray, samples: int) -> CovarianceEstimate:
-    """The estimate gram_sum / samples of a sum _fold_gram built.
+    """The estimate gram_sum / samples of a sum _folding built.
 
     Its upper blocks are mirrored below in place first; later folds leave those alone.
     """
@@ -201,8 +184,8 @@ def _batch_estimate(observed: np.ndarray, p: np.ndarray) -> CovarianceEstimate:
     """The estimate of one batch of masked rows: a copy folded into a zero sum."""
     n = p.shape[0]
     gram_sum = np.zeros((n, n))
-    with _blas_threads(1):
-        _fold_gram(observed.copy(), p, gram_sum, _panel_buffer(n))
+    with _folding(gram_sum) as fold:
+        fold(observed.copy(), p, 1)
     return _estimate_from_sum(gram_sum, observed.shape[0])
 
 
@@ -216,9 +199,9 @@ def estimate_cov(samples, p: MaskDistribution) -> CovarianceEstimate:
     unbiased for the true covariance no matter how few coordinates each sample
     reveals. The price is that the output is symmetric but need not be
     positive semidefinite. The product is folded into a zero sum by
-    _fold_gram, the batch loop's kernel, in row panels of min(n, 128) x n
-    floats, and mirrored once. BLAS runs at one thread meanwhile, so the
-    estimate does not depend on its thread count.
+    _folding, the batch loop's kernel, whose docstring gives its memory and
+    threads, and mirrored once; the estimate does not depend on the BLAS
+    thread count.
     """
     observed = _stack_observed(samples, p.n)
     count = observed.shape[0]
@@ -249,13 +232,21 @@ def merge_estimates(prev: CovarianceEstimate, batch: CovarianceEstimate) -> Cova
 
 
 def _check_truth(truth, shape: tuple) -> tuple[np.ndarray, float]:
-    """A finite, nonzero reference of the given shape, and its Frobenius norm."""
+    """A finite, nonzero reference of the given shape, and its Frobenius norm.
+
+    The norm's sum of squares must stay finite, as the errors against truth
+    are scored from such sums. It is taken with BLAS at one thread, whose
+    dot splits its sum by thread count.
+    """
     truth = _check_finite("truth", truth)
     if truth.shape != shape:
         raise ValueError("estimate and reference must share a shape")
-    norm = float(np.linalg.norm(truth))
+    with _blas_threads(1), np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(truth))
     if norm == 0.0:
         raise ValueError("reference matrix must be nonzero")
+    if norm == np.inf:
+        raise ValueError("truth is too large to score: its squared Frobenius norm overflows")
     return truth, norm
 
 
@@ -263,4 +254,5 @@ def relative_frobenius_error(estimate, truth: np.ndarray) -> float:
     """Frobenius-norm error of an estimate relative to a nonzero reference."""
     matrix = estimate.matrix if isinstance(estimate, CovarianceEstimate) else _check_finite("estimate", estimate)
     truth, denom = _check_truth(truth, matrix.shape)
-    return float(np.linalg.norm(matrix - truth) / denom)
+    with _blas_threads(1):
+        return float(np.linalg.norm(matrix - truth) / denom)

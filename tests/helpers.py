@@ -1,6 +1,11 @@
 """Shared builders for the test suite."""
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import covest
 import numpy as np
 
 from covest.design import project_box_simplex
@@ -21,6 +26,19 @@ def count_decompositions(monkeypatch) -> list:
         monkeypatch.setattr(np.linalg, name,
                             lambda a, _f=original, _n=name: calls.append(_n) or _f(a))
     return calls
+
+
+def outputs_at_blas_threads(script: str) -> list:
+    """The stdout of script run in two fresh interpreters, with OPENBLAS_NUM_THREADS=1 and =2."""
+    src = str(Path(covest.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(proc.stdout)
+    return outputs
 
 
 def idx_bytes(arr):

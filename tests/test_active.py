@@ -1,9 +1,7 @@
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
+from concurrent.futures import ThreadPoolExecutor
 
 import covest.estimator
 
@@ -18,15 +16,15 @@ from covest.design import design_probabilities
 from covest.estimator import (
     _PANEL,
     CovarianceEstimate,
-    _fold_gram,
-    _fold_helpers,
-    _panel_buffer,
+    _folding,
     _panels,
     estimate_cov,
     merge_estimates,
     relative_frobenius_error,
 )
 from covest.sampling import MaskDistribution, child_rng, derive_seed, draw_mask, mask_batch
+
+from helpers import outputs_at_blas_threads
 
 
 def test_config_validation():
@@ -198,10 +196,11 @@ def test_final_estimate_is_built_on_first_read(monkeypatch):
     assert trace.final_estimate is first and built == [first]
     # the running sum S, rebuilt from the same rows and masks
     xs = model.stream(child_rng(5)).draw(12)
-    gram_sum, buffer = np.zeros((4, 4)), _panel_buffer(4)
-    for t in range(2):
-        masks = draw_mask(p, child_rng(7, t), size=6)
-        _fold_gram(masks * xs[6 * t:6 * (t + 1)], p.p, gram_sum, buffer)
+    gram_sum = np.zeros((4, 4))
+    with _folding(gram_sum) as fold:
+        for t in range(2):
+            masks = draw_mask(p, child_rng(7, t), size=6)
+            fold(masks * xs[6 * t:6 * (t + 1)], p.p, 1)
     assert np.array_equal(first.matrix, gram_sum / 12)
     assert first.sample_count == 12
 
@@ -483,20 +482,30 @@ def test_loop_memory_does_not_grow_with_iterations():
     assert long <= 7 * buffer
 
 
-def test_loop_holds_one_sum_and_one_panel():
-    # at n = 384 (three panels) the loop holds S, one panel buffer of
-    # _PANEL x n floats per folding thread (its own and its helpers) and two
-    # batches' rows; a second n x n buffer for the batch's Gram matrix puts the
-    # peak about half an n x n array above the bound
+# block += panel on a strided block of S (every panel past the first) makes
+# numpy's buffered iteration allocate one buffer of getbufsize() floats per
+# input, 132 KB by tracemalloc; each folding thread holds its own while it adds
+_UFUNC_BUFFERS = 2 * np.getbufsize() * 8
+
+
+def test_loop_holds_one_sum_and_one_panel(monkeypatch):
+    # at n = 384 (three panels) the loop holds S, per folding thread one panel
+    # buffer of _PANEL x n floats and its ufunc buffers, and two batches' rows;
+    # a second n x n buffer for the batch's Gram matrix breaks the bound
     n, batch_size = 384, 16
     model = make_spiked_model(n, 2, 20.0, theta=0.1, seed=0)
     p = MaskDistribution.uniform(n, 96.0)
     stream = model.stream(child_rng(1))
+    buffers = []
+    make = covest.estimator._panel_buffer
+    monkeypatch.setattr(covest.estimator, "_panel_buffer", lambda n: buffers.append(make(n)) or buffers[-1])
     peak = _traced_peak(lambda: run_fixed(stream, p, total=3 * batch_size, truth=model.sigma,
                                           batch_size=batch_size, seed=2))
     # the rows, the stream's draw temporaries and the mask draws fit in 8 row blocks
     rows = 8 * batch_size * n * 8
-    assert peak <= (n * n + (1 + _fold_helpers(n)) * _PANEL * n) * 8 + rows
+    threads = len(buffers)
+    assert threads == min(3, covest.estimator._cores)
+    assert peak <= n * n * 8 + threads * (_PANEL * n * 8 + _UFUNC_BUFFERS) + rows
 
 
 def test_first_design_takes_the_budget_contract_of_design_probabilities():
@@ -607,10 +616,8 @@ def test_helper_fold_is_bitwise_the_serial_fold(monkeypatch, n, adapt):
                          record_matrices=True)
 
     monkeypatch.setattr(covest.estimator, "_cores", 1)
-    assert _fold_helpers(n) == 0
     serial = _trace_arrays(run())
     monkeypatch.setattr(covest.estimator, "_cores", 2)
-    assert _fold_helpers(n) == 1
     helped = _trace_arrays(run())
     assert all(np.array_equal(a, b) for a, b in zip(serial, helped, strict=True))
 
@@ -629,7 +636,6 @@ def test_many_helpers_fold_each_panel_once(monkeypatch):
     monkeypatch.setattr(covest.estimator, "_cores", 1)
     serial = run()
     monkeypatch.setattr(covest.estimator, "_cores", 8)
-    assert _fold_helpers(n) == 6
     helped = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -641,13 +647,6 @@ def test_many_helpers_fold_each_panel_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert all(np.array_equal(a, b) for a, b in zip(serial, helped["arrays"], strict=True))
-
-
-def test_fold_helpers_take_the_spare_cores(monkeypatch):
-    monkeypatch.setattr(covest.estimator, "_cores", 8)
-    assert [_fold_helpers(n) for n in (1, _PANEL, _PANEL + 1, 301, 784)] == [0, 0, 1, 2, 6]
-    monkeypatch.setattr(covest.estimator, "_cores", 1)
-    assert _fold_helpers(784) == 0
 
 
 class _CountingOracle:
@@ -689,6 +688,32 @@ def test_a_failing_oracle_leaves_no_helper_running(monkeypatch, fail_at):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cores, helpers", [
+    (8, {1: 0, _PANEL: 0, _PANEL + 1: 1, 301: 2, 784: 6}),
+    (2, {_PANEL: 0, 301: 1, 784: 1}),
+    (1, {784: 0}),
+])
+def test_fold_helpers_take_the_spare_cores(monkeypatch, cores, helpers):
+    # one helper per panel past the first, up to the spare cores; with none,
+    # the loop builds no executor at all
+    monkeypatch.setattr(covest.estimator, "_cores", cores)
+    built = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(covest.estimator, "ThreadPoolExecutor", Recording)
+    seen = {}
+    for n in helpers:
+        built.clear()
+        run_fixed(_DenseStream(n, 3), MaskDistribution.uniform(n, n / 2), total=40, batch_size=20)
+        seen[n] = built[0] if built else 0
+        assert len(built) <= 1
+    assert seen == helpers
+
+
 _HASH_RUN = """
 import hashlib
 import numpy as np
@@ -698,8 +723,13 @@ trace = run_active(model.stream(child_rng(4)), ActiveConfig(budget=75.0, batch_s
                    truth=model.sigma, record_matrices=True)
 p = MaskDistribution.uniform(301, 75.0)
 estimate = estimate_cov(mask_batch(model.stream(child_rng(4, 1)).draw(200), p, child_rng(4, 2)), p)
+# a dense truth, whose norm sums squares through BLAS
+a = np.random.default_rng(0).standard_normal((301, 301))
+dense = run_active(model.stream(child_rng(4)), ActiveConfig(budget=75.0, batch_size=40, iterations=4, seed=4),
+                   truth=model.sigma + 0.01 * (a + a.T))
 h = hashlib.sha256()
-for a in [trace.errors(), trace.designs(), trace.final_design, trace.final_estimate.matrix, estimate.matrix]:
+for a in [trace.errors(), trace.designs(), trace.final_design, trace.final_estimate.matrix, estimate.matrix,
+          dense.errors()]:
     h.update(np.ascontiguousarray(a).tobytes())
 for r in trace.records:
     h.update(r.batch_estimate.matrix.tobytes() + r.merged.matrix.tobytes())
@@ -708,14 +738,18 @@ print(h.hexdigest())
 
 
 def test_results_do_not_depend_on_the_blas_thread_count():
-    # each fold pins BLAS to one thread; unpinned, a two-thread product gave
-    # run_active and estimate_cov other trailing digits than one thread
-    src = str(Path(covest.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _HASH_RUN], env=env, capture_output=True,
-                              text=True, check=True)
-        digests.append(proc.stdout)
+    # each fold and the truth's norm pin BLAS to one thread; unpinned, a
+    # two-thread product gave run_active and estimate_cov other trailing
+    # digits than one thread, and so did the norm of a dense truth
+    digests = outputs_at_blas_threads(_HASH_RUN)
     assert digests[0] == digests[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_loop_rejects_a_truth_too_large_to_score():
+    # the norm of 1e300 * I is finite, its square is not: each error was NaN,
+    # after overflow warnings in the norm and the panel scores
+    model = make_spiked_model(4, 4, 1e300)
+    cfg = ActiveConfig(budget=2.0, batch_size=5, iterations=1)
+    with pytest.raises(ValueError, match="^truth is too large to score"):
+        run_active(model.stream(child_rng(0)), cfg, truth=model.sigma)

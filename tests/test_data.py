@@ -14,7 +14,7 @@ from covest.data import (
 from covest.linalg import psd_sqrt_factor, spectral_norm
 from covest.sampling import child_rng
 
-from helpers import idx_bytes
+from helpers import idx_bytes, outputs_at_blas_threads
 
 
 def test_spiked_model_spectrum_exact():
@@ -251,3 +251,21 @@ def test_build_empirical_source():
         build_empirical_source(images.reshape(30, 16), labels, digit=1)
     with pytest.raises(ValueError):
         build_empirical_source(images, labels[:5], digit=1)
+
+
+_SOURCE_RUN = """
+import hashlib
+import numpy as np
+from covest import EmpiricalSource
+rows = np.random.default_rng(5).standard_normal((400, 301)) * np.linspace(1.0, 3.0, 301)
+source = EmpiricalSource(rows, theta=0.01)
+print(hashlib.sha256(source.sigma.tobytes()).hexdigest(), repr(source.top_eigenvalue))
+"""
+
+
+def test_empirical_source_does_not_depend_on_the_blas_thread_count():
+    # the rows are drawn without BLAS; unpinned, the Gram product and its
+    # eigenvalues rounded differently at two threads, moving sigma and
+    # top_eigenvalue, and with them the bound diagnostics in .meta.json
+    outputs = outputs_at_blas_threads(_SOURCE_RUN)
+    assert outputs[0] == outputs[1]

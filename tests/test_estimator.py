@@ -9,7 +9,7 @@ from covest.estimator import (
     _PANEL,
     CovarianceEstimate,
     _estimate_from_sum,
-    _fold_gram,
+    _folding,
     _panel_buffer,
     _panels,
     estimate_cov,
@@ -256,11 +256,12 @@ def test_panel_buffer_holds_every_panel():
     assert _panel_buffer(784).size == _PANEL * 784
 
 
-def _folded_gram(rows, p):
-    """The batch's reweighted Gram matrix, folded into a zero sum and mirrored."""
+def _folded_gram(rows, p, order="C"):
+    """The batch's reweighted Gram matrix, folded into a zero sum of the given layout and mirrored."""
     n = p.shape[0]
-    gram = np.zeros((n, n))
-    _fold_gram(rows, p, gram, _panel_buffer(n))
+    gram = np.zeros((n, n), order=order)
+    with _folding(gram) as fold:
+        fold(rows, p, 1)
     return _estimate_from_sum(gram, 1).matrix
 
 
@@ -302,9 +303,7 @@ def test_fold_gram_scales_the_diagonal_of_every_panel(n, count, p, entries, orde
     p = np.resize(np.array(p), n)
     expected = (rows / p).T @ (rows / p)
     expected[np.diag_indices_from(expected)] *= p
-    gram = np.zeros((n, n), order=order)
-    _fold_gram(rows.copy(), p, gram, _panel_buffer(n))
-    gram = _estimate_from_sum(gram, 1).matrix
+    gram = _folded_gram(rows.copy(), p, order)
     if n <= _PANEL:
         assert (gram + 0.0).tobytes(order="C") == (expected + 0.0).tobytes()
     else:

@@ -397,6 +397,16 @@ def test_cli_jobs_must_be_positive(files, capsys, jobs):
     assert any(line.startswith("error: jobs must ") for line in captured.err.splitlines()), captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_truth_too_large_to_score_exits_1(capsys):
+    # it printed three RuntimeWarnings and then a JSON error about a NaN
+    code = main(["active", "--n", "4", "--spikes", "4", "--spike", "1e300", "--budget-frac", "0.5",
+                 "--iters", "1", "--batch", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: truth is too large to score: its squared Frobenius norm overflows\n"
+
+
 def test_cli_budgets_name_their_flag(files, capsys):
     # a token that is no number exited 1 with float()'s message, which names no flag
     with pytest.raises(SystemExit) as exc:

@@ -47,7 +47,8 @@ def test_benchmark_targets_resolve():
 
 
 def test_batch_loops_accept_record_matrices():
-    # the benchmark's workloads pass record_matrices to both loops
+    # the benchmark's workloads pass record_matrices to run_active; run_fixed
+    # takes it too, so both loops keep one signature for it
     for fn in (covest.run_active, covest.run_fixed):
         assert "record_matrices" in inspect.signature(fn).parameters
 
@@ -136,8 +137,8 @@ _PRODUCTS = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
 
 
 def test_batch_loop_leaves_the_gram_to_the_estimator():
-    # the Gram product and its scoring live in estimator._fold_gram, which
-    # estimate_cov calls too; a product in active.py would be a second path
+    # the Gram product and its scoring live in estimator._folding, which
+    # estimate_cov uses too; a product in active.py would be a second path
     path = Path(covest.__file__).parent / "active.py"
     found = [
         f"{path.name}:{node.lineno}: {ast.unparse(node)}"
