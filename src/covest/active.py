@@ -124,8 +124,8 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     helpers fold; _folding's docstring gives its threads and memory. The
     loop holds S, the fold's panel buffers and two batches' rows. S stays on
     the trace, for final_estimate to read on first use. The trace equals
-    composing estimate_cov, merge_estimates and relative_frobenius_error to rounding,
-    without their n x n temporaries; for n <= 128 rel_error equals
+    composing estimate_cov, merge_estimates and relative_frobenius_error to
+    rounding, without their n x n temporaries; for n <= 128 rel_error equals
     relative_frobenius_error of the merged estimate bit for bit, above that
     to a few ulp x n. With record_matrices, each batch estimate is built as
     estimate_cov builds it, by folding a copy of the masked rows into a

@@ -498,7 +498,7 @@ def test_loop_holds_one_sum_and_one_panel(monkeypatch):
     stream = model.stream(child_rng(1))
     buffers = []
     make = covest.estimator._panel_buffer
-    monkeypatch.setattr(covest.estimator, "_panel_buffer", lambda n: buffers.append(make(n)) or buffers[-1])
+    monkeypatch.setattr(covest.estimator, "_panel_buffer", lambda dim: buffers.append(make(dim)) or buffers[-1])
     peak = _traced_peak(lambda: run_fixed(stream, p, total=3 * batch_size, truth=model.sigma,
                                           batch_size=batch_size, seed=2))
     # the rows, the stream's draw temporaries and the mask draws fit in 8 row blocks
