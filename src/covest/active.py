@@ -79,11 +79,13 @@ class ActiveTrace:
 
     final_estimate, the running estimate after the last batch, is built from
     the loop's running sum on first read and cached; a caller that never reads
-    it pays for no n x n divide, mirror or symmetry check. The trace holds
-    that one n x n sum; while it ran, the loop also held the panel buffers
-    that estimator._folding's docstring counts. Each rel_error is scored
-    panel by panel: for n <= 128 it equals relative_frobenius_error of the
-    merged estimate bit for bit, above that to a few ulp x n.
+    it pays for no n x n divide, mirror or symmetry check, and reading it
+    leaves the sum as it was. The trace holds that one n x n sum; while it
+    ran, the loop also held the panel products that estimator._folding's
+    docstring counts. Each rel_error is scored panel by panel: for n <= 128
+    it equals relative_frobenius_error of the merged estimate bit for bit,
+    above that to a few ulp x n. An error whose square passes float range
+    is scored by relative_frobenius_error of the merged estimate.
     """
 
     records: list = field(default_factory=list)
@@ -122,7 +124,7 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     against truth while it is in cache, so a step touches each entry of S
     once, and which draws the next batch's rows on this thread while its
     helpers fold; _folding's docstring gives its threads and memory. The
-    loop holds S, the fold's panel buffers and two batches' rows. S stays on
+    loop holds S, the fold's panel products and two batches' rows. S stays on
     the trace, for final_estimate to read on first use. The trace equals
     composing estimate_cov, merge_estimates and relative_frobenius_error to
     rounding, without their n x n temporaries; for n <= 128 rel_error equals
@@ -162,7 +164,13 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
             # the next rows do not depend on the design: drawn while the helpers fold
             sq, drawn = fold(observed, p, samples, draw if t + 1 < cfg.iterations else None)
             merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
-            rel = None if truth is None else float(np.sqrt(sq) / truth_norm)
+            rel = None if truth is None else float(np.sqrt(sq)) / truth_norm
+            if rel is not None and not rel < np.inf:
+                # the squared error passed float range: score the merged estimate again, scaled
+                try:
+                    rel = relative_frobenius_error(_estimate_from_sum(gram_sum, samples), truth)
+                except ValueError as err:
+                    raise ValueError(f"oracle returned rows too large to score: {err}") from None
             trace.records.append(
                 IterationRecord(
                     iteration=t,

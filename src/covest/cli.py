@@ -113,7 +113,7 @@ def cmd_design(args) -> int:
         "eps": args.eps,
     })
     if args.out:
-        np.savetxt(args.out, p[None, :], delimiter=",", fmt="%.12g")
+        _write_matrix(args.out, p)
         _log(f"wrote design to {args.out}")
     return 0
 
@@ -186,8 +186,8 @@ def cmd_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ValueError("experiment config must be a JSON object")
-    out = args.out or config.pop("output", None) or "results.csv"
-    config.pop("output", None)
+    output = config.pop("output", None)
+    out = args.out or output or "results.csv"
     if args.trials is not None:
         config["trials"] = args.trials
     if args.arms is not None:

@@ -77,29 +77,27 @@ def _panels(n: int) -> list:
     return [(i0, min(i0 + _PANEL, n)) for i0 in range(0, n, _PANEL)]
 
 
-def _panel_buffer(n: int) -> np.ndarray:
-    """Scratch for one of _folding's threads: the first panel, min(n, _PANEL) x n floats, is the largest."""
-    return np.empty(min(n, _PANEL) * n)
-
-
-def _fold_panel(a, p, gram_sum, buffer, i0, i1, truth, samples) -> float:
+def _fold_panel(a, p, gram_sum, i0, i1, truth, samples) -> float:
     """Fold row panel [i0, i1) of the scaled rows a; return its part of the squared error."""
     rows, width = i1 - i0, p.shape[0] - i0
-    panel = np.matmul(a[:, i0:i1].T, a[:, i0:], out=buffer[:rows * width].reshape(rows, width))
+    panel = a[:, i0:i1].T @ a[:, i0:]
     panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
     block = gram_sum[i0:i1, i0:]
     block += panel
     if truth is None:
         return 0.0
-    np.divide(block, samples, out=panel)
-    panel -= truth[i0:i1, i0:]
-    flat = panel.reshape(-1)
-    total = flat.dot(flat)
-    if rows == width:
-        return total
-    # the part right of the diagonal block stands for itself and its mirror image
-    diag_block = panel[:, :rows]
-    return 2.0 * total - np.einsum("ij,ij->", diag_block, diag_block)
+    # a part past float range reads inf or NaN, in Python floats that add up
+    # without a warning; the batch loop scores such a batch again
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(block, samples, out=panel)
+        panel -= truth[i0:i1, i0:]
+        flat = panel.reshape(-1)
+        total = float(flat.dot(flat))
+        if rows == width:
+            return total
+        # the part right of the diagonal block stands for itself and its mirror image
+        diag_block = panel[:, :rows]
+        return 2.0 * total - float(np.einsum("ij,ij->", diag_block, diag_block))
 
 
 # threads a batch loop folds on, its own included; experiment._init_worker
@@ -114,14 +112,16 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
     With a = observed / p (observed is scaled in place), a^T a holds
     obs_i obs_j / (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Each
     fold adds that product to the upper triangle of gram_sum in row panels
-    [i0, i1) of _PANEL rows: panel a[:, i0:i1]^T a[:, i0:] is computed in a
-    buffer and added to gram_sum[i0:i1, i0:], so each entry on or above the
-    diagonal blocks is touched once; _estimate_from_sum mirrors and divides
-    the sum where a caller reads it whole. With truth, each panel of
-    gram_sum / samples is scored while it is in cache, and sq is the squared
-    Frobenius error against truth (0.0 without truth), the panels' parts
-    added in panel order. For n <= _PANEL there is one panel, and the calls
-    are a^T a (syrk) and one dot.
+    [i0, i1) of _PANEL rows: panel a[:, i0:i1]^T a[:, i0:] is computed and
+    added to gram_sum[i0:i1, i0:], so each entry on or above the diagonal
+    blocks is touched once and the blocks below are never written;
+    _estimate_from_sum divides and mirrors a copy of the sum where a caller
+    reads it whole. With truth, each panel of gram_sum / samples is scored
+    while it is in cache, and sq is the squared Frobenius error against
+    truth (0.0 without truth), the panels' parts added in panel order; a
+    square past float range gives sq = inf or NaN, without a warning. For
+    n <= _PANEL there is one panel, and the calls are a^T a (syrk) and one
+    dot.
 
     The panels are shared among the calling thread and one helper thread
     per spare core, min(panels, _cores) - 1 of them, so none (and no
@@ -129,17 +129,16 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
     calling thread runs meanwhile (the batch loop draws its next rows
     there), then folds the panels still left and waits for the helpers.
     Whichever thread folds a panel, every output is the same bit for bit.
-    Each folding thread holds one panel buffer of min(n, _PANEL) x n floats
-    (0.8 MB at n = 784) and, while it adds a strided panel, numpy's two
-    ufunc buffers of 64 KB. BLAS runs at one thread in the block, so each
-    product runs in the thread that calls it and rounds as in a serial
-    fold. The helpers are joined when the block ends, also when meanwhile
-    or the caller raises.
+    Each folding thread holds one panel product at a time, at most
+    min(n, _PANEL) x n floats (0.8 MB at n = 784), and, while it adds a
+    strided panel, numpy's two ufunc buffers of 64 KB. BLAS runs at one
+    thread in the block, so each product runs in the thread that calls it
+    and rounds as in a serial fold. The helpers are joined when the block
+    ends, also when meanwhile or the caller raises.
     """
     n = gram_sum.shape[0]
     panels = _panels(n)
     helpers = min(len(panels), _cores) - 1
-    buffers = [_panel_buffer(n) for _ in range(1 + helpers)]
     lock = threading.Lock()
 
     def fold(observed: np.ndarray, p: np.ndarray, samples: int, meanwhile=None):
@@ -147,18 +146,18 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
         todo = iter(range(len(panels)))
         parts = [0.0] * len(panels)
 
-        def work(buffer):
+        def work():
             while True:
                 with lock:
                     k = next(todo, None)
                 if k is None:
                     return
                 i0, i1 = panels[k]
-                parts[k] = _fold_panel(observed, p, gram_sum, buffer, i0, i1, truth, samples)
+                parts[k] = _fold_panel(observed, p, gram_sum, i0, i1, truth, samples)
 
-        helping = [pool.submit(work, buffer) for buffer in buffers[1:]]
+        helping = [pool.submit(work) for _ in range(helpers)]
         drawn = None if meanwhile is None else meanwhile()
-        work(buffers[0])
+        work()
         for helper in helping:
             helper.result()
         sq = 0.0
@@ -171,13 +170,14 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
 
 
 def _estimate_from_sum(gram_sum: np.ndarray, samples: int) -> CovarianceEstimate:
-    """The estimate gram_sum / samples of a sum _folding built.
+    """The estimate gram_sum / samples of a sum _folding built; gram_sum is read, never written.
 
-    Its upper blocks are mirrored below in place first; later folds leave those alone.
+    The quotient is a fresh array, whose upper blocks are mirrored below.
     """
-    for i0, i1 in _panels(gram_sum.shape[0])[:-1]:
-        gram_sum[i1:, i0:i1] = gram_sum[i0:i1, i1:].T
-    return CovarianceEstimate(gram_sum / samples, samples)
+    matrix = gram_sum / samples
+    for i0, i1 in _panels(matrix.shape[0])[:-1]:
+        matrix[i1:, i0:i1] = matrix[i0:i1, i1:].T
+    return CovarianceEstimate(matrix, samples)
 
 
 def _batch_estimate(observed: np.ndarray, p: np.ndarray) -> CovarianceEstimate:
@@ -251,8 +251,21 @@ def _check_truth(truth, shape: tuple) -> tuple[np.ndarray, float]:
 
 
 def relative_frobenius_error(estimate, truth: np.ndarray) -> float:
-    """Frobenius-norm error of an estimate relative to a nonzero reference."""
+    """Frobenius-norm error of an estimate relative to a nonzero reference.
+
+    Where the difference's sum of squares overflows, its norm is taken again
+    from the difference divided by its largest entry, so every error within
+    float range is scored.
+    """
     matrix = estimate.matrix if isinstance(estimate, CovarianceEstimate) else _check_finite("estimate", estimate)
     truth, denom = _check_truth(truth, matrix.shape)
-    with _blas_threads(1):
-        return float(np.linalg.norm(matrix - truth) / denom)
+    with _blas_threads(1), np.errstate(over="ignore", invalid="ignore"):
+        diff = matrix - truth
+        norm = np.linalg.norm(diff)
+        if norm == np.inf:
+            scale = np.abs(diff).max()
+            norm = scale * np.linalg.norm(diff / scale)
+        error = float(norm / denom)
+    if not error < np.inf:
+        raise ValueError("estimate is too far from truth to score: its relative error overflows")
+    return error

@@ -466,7 +466,7 @@ def _traced_peak(run):
 
 
 def test_loop_memory_does_not_grow_with_iterations():
-    # the loop keeps a running sum and one panel buffer; estimates and their
+    # the loop keeps a running sum and one panel product; estimates and their
     # validation add a few transient n x n arrays, never one per batch
     n = 200
     buffer = n * n * 8
@@ -490,20 +490,27 @@ _UFUNC_BUFFERS = 2 * np.getbufsize() * 8
 
 def test_loop_holds_one_sum_and_one_panel(monkeypatch):
     # at n = 384 (three panels) the loop holds S, per folding thread one panel
-    # buffer of _PANEL x n floats and its ufunc buffers, and two batches' rows;
-    # a second n x n buffer for the batch's Gram matrix breaks the bound
+    # product of at most _PANEL x n floats and its ufunc buffers, and two
+    # batches' rows; a second n x n buffer for the batch's Gram matrix breaks
+    # the bound
     n, batch_size = 384, 16
     model = make_spiked_model(n, 2, 20.0, theta=0.1, seed=0)
     p = MaskDistribution.uniform(n, 96.0)
     stream = model.stream(child_rng(1))
-    buffers = []
-    make = covest.estimator._panel_buffer
-    monkeypatch.setattr(covest.estimator, "_panel_buffer", lambda dim: buffers.append(make(dim)) or buffers[-1])
+    built = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(covest.estimator, "ThreadPoolExecutor", Recording)
     peak = _traced_peak(lambda: run_fixed(stream, p, total=3 * batch_size, truth=model.sigma,
                                           batch_size=batch_size, seed=2))
     # the rows, the stream's draw temporaries and the mask draws fit in 8 row blocks
     rows = 8 * batch_size * n * 8
-    threads = len(buffers)
+    # the calling thread and the executor's helpers, if it built one
+    threads = 1 + sum(built)
     assert threads == min(3, covest.estimator._cores)
     assert peak <= n * n * 8 + threads * (_PANEL * n * 8 + _UFUNC_BUFFERS) + rows
 
@@ -753,3 +760,63 @@ def test_loop_rejects_a_truth_too_large_to_score():
     cfg = ActiveConfig(budget=2.0, batch_size=5, iterations=1)
     with pytest.raises(ValueError, match="^truth is too large to score"):
         run_active(model.stream(child_rng(0)), cfg, truth=model.sigma)
+
+
+@pytest.mark.parametrize("n", [301, 784])
+def test_reading_the_estimate_leaves_the_running_sum_alone(n):
+    # final_estimate mirrors a copy of S; it used to mirror S's upper blocks
+    # into its lower ones in place
+    model = make_spiked_model(n, 4, 30.0, theta=0.1, seed=n)
+    cfg = ActiveConfig(budget=n / 4, batch_size=20, iterations=2, seed=3)
+    trace = run_active(model.stream(child_rng(n)), cfg, truth=model.sigma)
+    before = trace._gram_sum.tobytes()
+    assert np.array_equal(trace.final_estimate.matrix, trace.final_estimate.matrix.T)
+    assert trace._gram_sum.tobytes() == before
+
+
+def test_recorded_matrices_leave_the_running_sum_alone():
+    n = 301
+    model = make_spiked_model(n, 4, 30.0, theta=0.1, seed=1)
+    cfg = ActiveConfig(budget=n / 4, batch_size=20, iterations=3, seed=3)
+    sums = [run_active(model.stream(child_rng(2)), cfg, truth=model.sigma,
+                       record_matrices=record)._gram_sum.tobytes() for record in (False, True)]
+    assert sums[0] == sums[1]
+
+
+class _SignOracle:
+    """Rows of +-1e100, the signs drawn at random: the estimate is near 1e200."""
+
+    dim = 3
+
+    def __init__(self):
+        self._rng = np.random.default_rng(0)
+
+    def draw(self, count):
+        return 1e100 * np.sign(self._rng.standard_normal((count, self.dim)))
+
+
+def _run_on_sign_rows(adapt, truth):
+    if adapt:
+        cfg = ActiveConfig(budget=2.0, batch_size=4, iterations=3, seed=1)
+        return run_active(_SignOracle(), cfg, truth=truth, record_matrices=True)
+    return run_fixed(_SignOracle(), MaskDistribution.uniform(3, 2.0), total=12, truth=truth,
+                     batch_size=4, seed=1, record_matrices=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("adapt", [True, False])
+def test_loop_scores_errors_whose_squares_overflow(adapt):
+    # the errors are about 1e200, their squares past float range: each read
+    # inf, after an overflow warning in the panel score
+    trace = _run_on_sign_rows(adapt, np.eye(3))
+    for record in trace.records:
+        scaled = np.linalg.norm((record.merged.matrix - np.eye(3)) / 1e200) * 1e200 / np.sqrt(3)
+        assert 1e199 < record.rel_error == pytest.approx(scaled, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("adapt", [True, False])
+def test_loop_rejects_an_error_past_float_range(adapt):
+    # the truth's norm is near 1e-150, so the relative error passes 1e308
+    with pytest.raises(ValueError, match="^oracle returned rows too large to score: estimate is too far"):
+        _run_on_sign_rows(adapt, 1e-150 * np.eye(3))

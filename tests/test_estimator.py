@@ -10,7 +10,6 @@ from covest.estimator import (
     CovarianceEstimate,
     _estimate_from_sum,
     _folding,
-    _panel_buffer,
     _panels,
     estimate_cov,
     merge_estimates,
@@ -243,17 +242,26 @@ def test_relative_frobenius_error():
         relative_frobenius_error(truth, np.zeros((3, 3)))
 
 
-def test_panel_buffer_holds_every_panel():
-    # np.empty reserves the buffers without touching their pages
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_relative_frobenius_error_past_a_squared_overflow():
+    # the difference's sum of squares overflows, its norm does not: this read
+    # inf, after an overflow warning in the norm
+    estimate = np.array([[1e200, -3e200], [-3e200, 2e200]])
+    expected = np.sqrt(1 + 9 + 9 + 4) * 1e200 / np.sqrt(2)
+    assert relative_frobenius_error(estimate, np.eye(2)) == pytest.approx(expected, rel=1e-15)
+    with pytest.raises(ValueError, match="^estimate is too far from truth to score"):
+        relative_frobenius_error(estimate, 1e-150 * np.eye(2))
+    with pytest.raises(ValueError, match="^estimate is too far from truth to score"):
+        relative_frobenius_error(1.5e308 * np.array([[1.0, -1.0], [-1.0, 1.0]]), -np.eye(2))
+
+
+def test_panels_cover_every_row():
     for n in range(1, 20001):
         panels = _panels(n)
         # consecutive, nonempty panels of at most _PANEL rows cover range(n)
         assert [i0 for i0, _ in panels] == [0] + [i1 for _, i1 in panels[:-1]]
         assert panels[-1][1] == n
         assert all(0 < i1 - i0 <= _PANEL for i0, i1 in panels)
-        size = _panel_buffer(n).size
-        assert max((i1 - i0) * (n - i0) for i0, i1 in panels) <= size <= _PANEL * n
-    assert _panel_buffer(784).size == _PANEL * 784
 
 
 def _folded_gram(rows, p, order="C"):
