@@ -9,7 +9,7 @@ dependent) design, the merged estimate stays unbiased at every iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -119,12 +119,15 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     """The batch loop, with one running sum S of reweighted Gram matrices.
 
     S / samples is the merged estimate under merge_estimates' sample-count
-    rule, and the redesign reads only its diagonal. Each batch is one fold of
-    an estimator._folding into S, which scores each part of S it touches
-    against truth while it is in cache, so a step touches each entry of S
-    once, and which draws the next batch's rows on this thread while its
-    helpers fold; _folding's docstring gives its threads and memory. The
-    loop holds S, the fold's panel products and two batches' rows. S stays on
+    rule, and the redesign reads only its diagonal; a diagonal of 0s (every
+    coordinate seen so far masked out) keeps the design. Each batch is one
+    fold of an estimator._folding into S, which scores each part of S it
+    touches against truth while it is in cache, so a step touches each entry
+    of S once, and which hands prepare S's diagonal: prepare makes the next
+    batch on this thread (redesign, rows, checks and masks), above 128 while
+    the helpers fold; _folding's docstring gives its threads and memory and
+    where the diagonal comes from. The loop holds S, the fold's panel
+    products and two batches' rows. S stays on
     the trace, for final_estimate to read on first use. The trace equals
     composing estimate_cov, merge_estimates and relative_frobenius_error to
     rounding, without their n x n temporaries; for n <= 128 rel_error equals
@@ -140,29 +143,38 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
     gram_sum = np.zeros((n, n))  # the running sum S
     samples = 0
     trace = ActiveTrace()
-    draw = partial(oracle.draw, cfg.batch_size)
+
+    def prepare(diagonal):
+        q = p
+        # a profile of 0s (every coordinate seen so far masked out) keeps the design;
+        # the budget and eps were checked with the first design, the profile is
+        # data, and rows near the float limit overflow it to inf
+        if adapt and samples and (profile := diagonal / samples).any():
+            q = design._solve(np.sqrt(design._check_profile(profile)), cfg.budget, cfg.eps)[0]
+            _check_reweighting(q)
+        if t + 1 == cfg.iterations:
+            return None, 0, q
+        # the rows come from outside the program, so they are checked; the
+        # masks are drawn here and need no validation
+        xs = np.asarray(oracle.draw(cfg.batch_size), dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != n:
+            raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
+        if xs.shape[0] == 0:
+            raise ValueError("oracle returned no rows")
+        if not np.isfinite(xs).all():
+            raise ValueError("oracle returned non-finite values (NaN or inf)")
+        masks = _draw_mask(q, child_rng(cfg.seed, t + 1), xs.shape)
+        observed_count = int(masks.sum())
+        return np.multiply(masks, xs, out=masks), observed_count, q
+
+    t = -1
+    observed, observed_count, p = prepare(None)
     with _folding(gram_sum, truth) as fold:
-        drawn = draw()
         for t in range(cfg.iterations):
-            rng = child_rng(cfg.seed, t)
-            # the rows come from outside the program, so they are checked; the
-            # masks are drawn here and need no validation
-            xs = np.asarray(drawn, dtype=float)
-            if xs.ndim != 2 or xs.shape[1] != n:
-                raise ValueError(f"oracle returned rows of shape {xs.shape}, expected (count, {n})")
-            count = xs.shape[0]
-            if count == 0:
-                raise ValueError("oracle returned no rows")
-            if not np.isfinite(xs).all():
-                raise ValueError("oracle returned non-finite values (NaN or inf)")
-            masks = _draw_mask(p, rng, (count, n))
-            observed_count = int(masks.sum())
-            samples += count
-            observed = np.multiply(masks, xs, out=masks)
+            samples += observed.shape[0]
             # built before the fold below scales observed in place
             batch_estimate = _batch_estimate(observed, p) if record_matrices else None
-            # the next rows do not depend on the design: drawn while the helpers fold
-            sq, drawn = fold(observed, p, samples, draw if t + 1 < cfg.iterations else None)
+            sq, upcoming = fold(observed, p, samples, prepare)
             merged = _estimate_from_sum(gram_sum, samples) if record_matrices else None
             rel = None if truth is None else float(np.sqrt(sq)) / truth_norm
             if rel is not None and not rel < np.inf:
@@ -182,12 +194,7 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
                     sample_count=samples,
                 )
             )
-            if adapt:
-                # the budget and eps were checked with the first design; the profile is
-                # data, and rows near the float limit overflow it to inf
-                profile = design._check_profile(np.diagonal(gram_sum) / samples)
-                p = design._solve(np.sqrt(profile), cfg.budget, cfg.eps)[0]
-                _check_reweighting(p)
+            observed, observed_count, p = upcoming
     trace.final_design = p
     trace._gram_sum = gram_sum
     return trace
@@ -200,11 +207,12 @@ def run_active(oracle, cfg: ActiveConfig, truth: np.ndarray | None = None,
     oracle supplies raw vectors via draw(count) and a dim attribute; masks are
     drawn here from per-iteration child streams of cfg.seed, so equal
     (oracle stream, cfg) reproduce the trace exactly. truth, when given, is
-    only scored against, never consumed by the loop. The oracle is asked for
-    batch t + 1 while batch t is folded, always from the calling thread and
-    cfg.iterations times in all. The records keep designs, errors and counts;
-    record_matrices=True also keeps each batch's estimate and the running
-    estimate per record, two n x n copies per batch.
+    only scored against, never consumed by the loop. Batch t + 1's design,
+    rows and masks depend on batch t only through the running diagonal, so
+    above n = 128 they are made while batch t is folded; the oracle is asked
+    from the calling thread, cfg.iterations times in all. The records keep
+    designs, errors and counts; record_matrices=True also keeps each batch's
+    estimate and the running estimate per record, two n x n copies per batch.
     """
     p0 = design.design_probabilities(np.ones(oracle.dim), cfg.budget, cfg.eps).p.p
     return _run_batches(oracle, p0, cfg, truth, adapt=True, record_matrices=record_matrices)

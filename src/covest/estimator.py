@@ -77,11 +77,12 @@ def _panels(n: int) -> list:
     return [(i0, min(i0 + _PANEL, n)) for i0 in range(0, n, _PANEL)]
 
 
-def _fold_panel(a, p, gram_sum, i0, i1, truth, samples) -> float:
+def _fold_panel(a, p, d, gram_sum, i0, i1, truth, samples) -> float:
     """Fold row panel [i0, i1) of the scaled rows a; return its part of the squared error."""
     rows, width = i1 - i0, p.shape[0] - i0
     panel = a[:, i0:i1].T @ a[:, i0:]
-    panel.reshape(-1)[::width + 1] *= p[i0:i1]  # the diagonal, a view of the contiguous panel
+    diagonal = panel.reshape(-1)[::width + 1]  # a view of the contiguous panel
+    diagonal[:] = diagonal * p[i0:i1] if d is None else d[i0:i1]  # d: the batch's diagonal
     block = gram_sum[i0:i1, i0:]
     block += panel
     if truth is None:
@@ -107,7 +108,7 @@ _cores = os.cpu_count() or 1
 
 @contextmanager
 def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
-    """Yield fold(observed, p, samples, meanwhile=None) -> (sq, meanwhile()), adding batches to gram_sum.
+    """Yield fold(observed, p, samples, meanwhile=None) -> (sq, meanwhile(diagonal)), adding batches to gram_sum.
 
     With a = observed / p (observed is scaled in place), a^T a holds
     obs_i obs_j / (p_i p_j); its diagonal times p holds obs_i^2 / p_i. Each
@@ -125,9 +126,14 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
 
     The panels are shared among the calling thread and one helper thread
     per spare core, min(panels, _cores) - 1 of them, so none (and no
-    executor) for n <= _PANEL or one core. The helpers start folding, the
-    calling thread runs meanwhile (the batch loop draws its next rows
-    there), then folds the panels still left and waits for the helpers.
+    executor) for n <= _PANEL or one core. meanwhile gets gram_sum's
+    diagonal after the fold; the batch loop prepares its next batch there.
+    Above one panel the calling thread first takes the batch's diagonal,
+    einsum("ki,ki->i", a, a) * p, adds it to a running copy of gram_sum's
+    diagonal and writes it into each panel product; the helpers start
+    folding, it runs meanwhile on the copy, folds the panels still left and
+    waits for the helpers. With one panel, no helper runs beside meanwhile:
+    the diagonal comes from the product, and meanwhile follows the fold.
     Whichever thread folds a panel, every output is the same bit for bit.
     Each folding thread holds one panel product at a time, at most
     min(n, _PANEL) x n floats (0.8 MB at n = 784), and, while it adds a
@@ -140,9 +146,15 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
     panels = _panels(n)
     helpers = min(len(panels), _cores) - 1
     lock = threading.Lock()
+    diagonal = np.diagonal(gram_sum) if len(panels) == 1 else np.diagonal(gram_sum).copy()
 
     def fold(observed: np.ndarray, p: np.ndarray, samples: int, meanwhile=None):
         observed /= p
+        if len(panels) == 1:
+            sq = _fold_panel(observed, p, None, gram_sum, 0, n, truth, samples)
+            return sq, meanwhile(diagonal) if meanwhile else None
+        d = np.einsum("ki,ki->i", observed, observed) * p
+        np.add(diagonal, d, out=diagonal)
         todo = iter(range(len(panels)))
         parts = [0.0] * len(panels)
 
@@ -153,17 +165,17 @@ def _folding(gram_sum: np.ndarray, truth: np.ndarray | None = None):
                 if k is None:
                     return
                 i0, i1 = panels[k]
-                parts[k] = _fold_panel(observed, p, gram_sum, i0, i1, truth, samples)
+                parts[k] = _fold_panel(observed, p, d, gram_sum, i0, i1, truth, samples)
 
         helping = [pool.submit(work) for _ in range(helpers)]
-        drawn = None if meanwhile is None else meanwhile()
+        prepared = meanwhile(diagonal) if meanwhile else None
         work()
         for helper in helping:
             helper.result()
         sq = 0.0
         for part in parts:
             sq += part
-        return sq, drawn
+        return sq, prepared
 
     with _blas_threads(1), (ThreadPoolExecutor(helpers) if helpers else nullcontext()) as pool:
         yield fold
