@@ -167,7 +167,7 @@ def _run_batches(oracle, p: np.ndarray, cfg: ActiveConfig, truth, adapt: bool,
         observed_count = int(masks.sum())
         return np.multiply(masks, xs, out=masks), observed_count, q
 
-    t = -1
+    t = -1  # prepare makes batch t + 1
     observed, observed_count, p = prepare(None)
     with _folding(gram_sum, truth) as fold:
         for t in range(cfg.iterations):

@@ -543,6 +543,22 @@ def test_loop_rejects_an_overflowing_profile():
             run_active(_HugeOracle(), ActiveConfig(budget=1.5, batch_size=4, iterations=2))
 
 
+def test_a_profile_of_zeros_keeps_the_design():
+    # every coordinate seen so far can be masked out, a valid outcome; the
+    # redesign raised "design needs at least one positive variance" instead,
+    # in 18 of these 200 runs
+    kept = 0
+    for seed in range(200):
+        cfg = ActiveConfig(budget=1.5, batch_size=1, iterations=3, seed=seed)
+        trace = run_active(make_spiked_model(3, 1, 4.0).stream(child_rng(seed)), cfg)
+        designs = [*(r.design for r in trace.records), trace.final_design]
+        seen = np.cumsum([r.observed_count for r in trace.records])
+        for t in np.flatnonzero(seen == 0):
+            assert np.array_equal(designs[t + 1], designs[t])
+            kept += 1
+    assert kept >= 18
+
+
 def test_designs_are_read_only():
     model = make_spiked_model(6, 2, 20.0, theta=0.1, seed=0)
     cfg = ActiveConfig(budget=3.0, batch_size=10, iterations=4)
@@ -657,17 +673,23 @@ def test_many_helpers_fold_each_panel_once(monkeypatch):
 
 
 class _CountingOracle:
-    """A stream that logs the thread and the live thread count of each draw, and raises on draw fail_at."""
+    """A stream that logs the thread and the live thread count of each draw.
 
-    def __init__(self, n, fail_at=None):
+    Draw fail_at raises, or, with nonfinite, returns rows of NaN.
+    """
+
+    def __init__(self, n, fail_at=None, nonfinite=False):
         self._stream = _DenseStream(n, 3)
         self.dim = n
         self.fail_at = fail_at
+        self.nonfinite = nonfinite
         self.calls = []
 
     def draw(self, count):
         self.calls.append((threading.get_ident(), threading.active_count()))
         if len(self.calls) == self.fail_at:
+            if self.nonfinite:
+                return np.full((count, self.dim), np.nan)
             raise RuntimeError("oracle failed")
         return self._stream.draw(count)
 
@@ -683,16 +705,37 @@ def test_oracle_is_drawn_once_per_batch_from_the_calling_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("nonfinite, error, message", [
+    (False, RuntimeError, "oracle failed"),
+    (True, ValueError, r"^oracle returned non-finite values \(NaN or inf\)$"),
+])
 @pytest.mark.parametrize("fail_at", [1, 3])
-def test_a_failing_oracle_leaves_no_helper_running(monkeypatch, fail_at):
+def test_a_failing_oracle_leaves_no_helper_running(monkeypatch, fail_at, nonfinite, error, message):
     monkeypatch.setattr(covest.estimator, "_cores", 2)
     before = threading.active_count()
-    oracle = _CountingOracle(301, fail_at=fail_at)
-    with pytest.raises(RuntimeError, match="oracle failed"):
+    oracle = _CountingOracle(301, fail_at=fail_at, nonfinite=nonfinite)
+    with pytest.raises(error, match=message):
         run_fixed(oracle, MaskDistribution.uniform(301, 60.0), total=100, batch_size=20)
-    # the third draw fails while the helper folds the second batch
+    # the third draw fails, or its rows are rejected, while the helper folds the second batch
     assert [live - before for _, live in oracle.calls] == [0, 1, 1][:fail_at]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("n", [1, _PANEL, _PANEL + 1, 784])
+def test_meanwhile_gets_the_diagonal_of_the_folded_sum(monkeypatch, n, cores):
+    # above one panel meanwhile runs beside the helpers, on a diagonal taken
+    # before the panels; it must equal the one the fold leaves in S bit for bit
+    monkeypatch.setattr(covest.estimator, "_cores", cores)
+    rng = child_rng(n, cores)
+    p = rng.uniform(0.05, 1.0, n)
+    truth = np.eye(n)
+    gram_sum = np.zeros((n, n))
+    with _folding(gram_sum, truth) as fold:
+        for samples in range(1, 4):
+            rows = rng.standard_normal((30, n)) * (rng.random((30, n)) < p)
+            _, seen = fold(rows, p, samples, lambda diagonal: diagonal.copy())
+            assert seen.tobytes() == np.diagonal(gram_sum).tobytes()
 
 
 @pytest.mark.parametrize("cores, helpers", [

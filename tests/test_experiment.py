@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covest.estimator
 import covest.experiment
 from covest.active import ActiveConfig, run_active, run_fixed
 from covest.bounds import bound_report, effective_rank, entrywise_norm, error_scale_matrix
@@ -21,6 +22,7 @@ from covest.experiment import (
     run_experiment,
 )
 from covest.design import design_probabilities
+from covest.estimator import _PANEL
 from covest.sampling import MaskDistribution, child_rng, derive_seed
 
 from helpers import count_decompositions, idx_bytes
@@ -203,8 +205,15 @@ def test_mean_and_std_errors():
     assert np.array_equal(single.std_errors("uniform", 0.5), np.zeros(3))
 
 
-def test_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("n", [6, _PANEL + 1])
+def test_parallel_matches_serial(tmp_path, monkeypatch, n):
+    # at n = _PANEL + 1 the serial run folds with a helper, and each of the
+    # two pool workers, with one core of the two, folds alone
+    monkeypatch.setattr(covest.estimator, "_cores", 2)
     spec = small_spec(trials=4)
+    if n > 6:
+        spec = small_spec(source=SyntheticSourceSpec(n=n, spikes=1, spike=16.0, theta=0.125),
+                          trials=2, iterations=2)
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     export_csv(run_experiment(spec, jobs=1), serial)
